@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/conservative_backfill.h"
+#include "core/easy_backfill.h"
 #include "core/factory.h"
 #include "core/list_scheduler.h"
 #include "core/ordering.h"
@@ -329,6 +330,62 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
 }
 BENCHMARK(BM_ConservativeIncrementalReplan)
     ->Arg(512)->Arg(2048)->Arg(5000)->Complexity();
+
+// EASY backfilling behind a blocked head over a deep backlog: the shape of
+// a served 4x-overload run, where every completion triggers a select and
+// the backfill pass must look behind a head that cannot start. Four
+// running jobs leave 8 nodes free; the 250-node head's shadow is the last
+// of their estimated ends, with 6 extra nodes. The queue mixes wide jobs
+// (which never fit the free nodes) with 5% narrow ones that fit the free
+// nodes but neither the extra nodes nor the shadow window, so nothing
+// starts and every iteration is the same select. A linear pass tests all
+// of them; the fit index skips the runs of wide jobs. The range parameter
+// is the queue depth.
+void BM_EasyDeepBacklog(benchmark::State& state) {
+  const std::size_t depth = static_cast<std::size_t>(state.range(0));
+  sim::Machine machine;
+  machine.nodes = 256;
+  core::JobStore store;
+  std::vector<JobId> order;
+  std::vector<core::RunningJob> running;
+  JobId next = 0;
+  auto add = [&](int nodes, Duration estimate) {
+    Job j;
+    j.id = next++;
+    j.nodes = nodes;
+    j.estimate = estimate;
+    j.runtime = 0;  // scheduler view
+    store.put(j);
+    return j.id;
+  };
+  for (int i = 1; i <= 4; ++i) {
+    const JobId id = add(62, i * 1000);
+    running.push_back({id, 0, i * 1000, 62});
+  }
+  util::Rng rng(23);
+  order.push_back(add(250, 3600));  // the blocked head
+  while (order.size() < depth) {
+    if (rng.uniform_int(0, 19) == 0) {
+      order.push_back(add(static_cast<int>(rng.uniform_int(7, 8)),
+                          rng.uniform_int(4'001, 86'400)));
+    } else {
+      order.push_back(add(static_cast<int>(rng.uniform_int(9, 256)),
+                          rng.uniform_int(60, 86'400)));
+    }
+  }
+
+  core::EasyBackfillDispatch d;
+  d.reset(machine, store);
+  d.adopt(0, order, running);
+  std::vector<JobId> starts;
+  for (auto _ : state) {
+    d.select(0, 8, order, running, starts);
+    benchmark::DoNotOptimize(starts.data());
+  }
+  if (!starts.empty()) state.SkipWithError("a job backfilled");
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_EasyDeepBacklog)->Arg(1024)->Arg(8192)->Complexity();
 
 // Zero-failure overhead guard for the fault subsystem: arg 0 simulates
 // with default options (null trace), arg 1 with a pointer to an *empty*

@@ -1,5 +1,7 @@
 #include "core/dispatch.h"
 
+#include <limits>
+
 namespace jsched::core {
 
 void HeadOnlyDispatch::select(Time, int free_nodes,
@@ -20,14 +22,10 @@ void FirstFitDispatch::select(Time, int free_nodes,
                               const std::vector<RunningJob>&,
                               std::vector<JobId>& starts) {
   starts.clear();
-  for (JobId id : order) {
-    if (free_nodes == 0) break;
-    const int need = store_->get(id).nodes;
-    if (need <= free_nodes) {
-      free_nodes -= need;
-      starts.push_back(id);
-    }
-  }
+  index_.begin_select(order.size(), "FirstFitDispatch");
+  // Every job that fits may start: EASY's pass with no horizon to respect.
+  index_.pick_fits(0, free_nodes, std::numeric_limits<Duration>::max(),
+                   free_nodes, starts);
 }
 
 }  // namespace jsched::core

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fit_index.h"
 #include "core/job_store.h"
 #include "sim/machine.h"
 #include "util/time.h"
@@ -28,6 +29,22 @@ struct RunningJob {
   int nodes;
 };
 
+/// The hook contract. The scheduler owning a dispatcher reports every
+/// change to the wait queue, so a dispatcher may keep state mirroring
+/// `order` between selects (the EASY and first-fit fit index does):
+///
+///  * on_enqueue(id) when a job is appended at the end of the order;
+///  * on_start(id), after select(), for each returned job that actually
+///    starts, in the order select() returned them (a decorator may veto
+///    some; those stay queued and get no on_start);
+///  * on_reorder(order) whenever the order changed any other way (a
+///    mid-queue insertion or a replan), instead of on_enqueue;
+///  * adopt(order, running) when the dispatcher takes over a machine it
+///    has not been watching (a phase flip); until then it may be stale.
+///
+/// A dispatcher that mirrors the order throws std::logic_error from
+/// select() when the queue it is handed disagrees with its mirror, rather
+/// than scheduling from stale state.
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
@@ -97,18 +114,25 @@ class HeadOnlyDispatch final : public Dispatcher {
   const JobStore* store_ = nullptr;
 };
 
-/// Garey & Graham: start every job that fits, scanning the whole queue
-/// (ties broken by queue position).
+/// Garey & Graham: start every job that fits, in queue order (ties broken
+/// by queue position). The fit index jumps straight to the jobs that fit.
 class FirstFitDispatch final : public Dispatcher {
  public:
   std::string name() const override { return "FF"; }
-  void reset(const sim::Machine&, const JobStore& store) override { store_ = &store; }
+  void reset(const sim::Machine&, const JobStore& store) override {
+    index_.reset(store);
+  }
+  void on_enqueue(JobId id, Time) override { index_.append(id); }
+  void on_start(JobId id, Time) override { index_.mark_started(id); }
+  void on_reorder(const std::vector<JobId>& order, Time) override {
+    index_.assign(order);
+  }
   void select(Time now, int free_nodes, const std::vector<JobId>& order,
               const std::vector<RunningJob>& running,
               std::vector<JobId>& starts) override;
 
  private:
-  const JobStore* store_ = nullptr;
+  FitIndex index_;
 };
 
 }  // namespace jsched::core

@@ -9,6 +9,7 @@ void EasyBackfillDispatch::select(Time now, int free_nodes,
                                   const std::vector<RunningJob>& running,
                                   std::vector<JobId>& starts) {
   starts.clear();
+  index_.begin_select(order.size(), "EasyBackfillDispatch");
 
   // Greedy phase: start head jobs while they fit.
   std::size_t head = 0;
@@ -19,6 +20,8 @@ void EasyBackfillDispatch::select(Time now, int free_nodes,
     starts.push_back(order[head]);
     ++head;
   }
+  const std::size_t head_slot = index_.pick_prefix(
+      head, head < order.size() ? order[head] : kInvalidJob);
   if (head >= order.size()) return;
 
   // Reservation for the head: walk estimated completions until enough
@@ -49,16 +52,7 @@ void EasyBackfillDispatch::select(Time now, int free_nodes,
 
   // Backfill phase: any later job may start now if it fits and does not
   // disturb the head's reservation.
-  for (std::size_t i = head + 1; i < order.size() && free_nodes > 0; ++i) {
-    const Job& j = store_->get(order[i]);
-    if (j.nodes > free_nodes) continue;
-    const bool ends_before_shadow = now + j.estimate <= shadow;
-    if (ends_before_shadow || j.nodes <= extra) {
-      free_nodes -= j.nodes;
-      if (!ends_before_shadow) extra -= j.nodes;
-      starts.push_back(order[i]);
-    }
-  }
+  index_.pick_fits(head_slot + 1, free_nodes, shadow - now, extra, starts);
 }
 
 }  // namespace jsched::core

@@ -11,6 +11,11 @@
 // free nodes and either finishes (by its estimate) before the shadow time
 // or uses only extra nodes.
 //
+// The backfill pass runs on a FitIndex over the queue order, which skips
+// runs of jobs that cannot start (too wide for the free nodes, or too wide
+// for the extra nodes and too long for the shadow time) instead of testing
+// them one by one; the picks are exactly those of a linear scan.
+//
 // Projections use user estimates, so an early-finishing job can make a
 // backfill decision delay the head relative to what an exact-knowledge
 // scheduler would have done — exactly the effect the paper discusses and
@@ -26,6 +31,12 @@ class EasyBackfillDispatch final : public Dispatcher {
   std::string name() const override { return "EASY"; }
   void reset(const sim::Machine&, const JobStore& store) override {
     store_ = &store;
+    index_.reset(store);
+  }
+  void on_enqueue(JobId id, Time) override { index_.append(id); }
+  void on_start(JobId id, Time) override { index_.mark_started(id); }
+  void on_reorder(const std::vector<JobId>& order, Time) override {
+    index_.assign(order);
   }
   void select(Time now, int free_nodes, const std::vector<JobId>& order,
               const std::vector<RunningJob>& running,
@@ -33,6 +44,7 @@ class EasyBackfillDispatch final : public Dispatcher {
 
  private:
   const JobStore* store_ = nullptr;
+  FitIndex index_;
   // Scratch for the shadow-time computation (running jobs + greedy starts,
   // sorted by estimated end); kept as a member so the per-event hot path
   // reuses its capacity instead of allocating.

@@ -2,7 +2,6 @@
 // detection. The format's promise is "either the exact job stream that was
 // written, or a named error" — never silently wrong jobs.
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,8 +20,8 @@ namespace {
 
 class BinaryFormatTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/binary_format_test.jwb";
-  void TearDown() override { std::remove(path_.c_str()); }
+  test::TempFile file_{"binary_format_test", ".jwb"};
+  const std::string& path_ = file_.path();
 
   std::string file_bytes() const {
     std::ifstream in(path_, std::ios::binary);

@@ -3,7 +3,6 @@
 // fields, same workload fingerprint. This is the contract that lets the
 // bounded-memory simulation claim bit-identity with the batch pipeline.
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -117,8 +116,8 @@ TEST(JobSourceTest, StampShiftsOriginAndAssignsDenseIds) {
 
 class SwfSourceTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/job_source_test.swf";
-  void TearDown() override { std::remove(path_.c_str()); }
+  test::TempFile file_{"job_source_test", ".swf"};
+  const std::string& path_ = file_.path();
 };
 
 TEST_F(SwfSourceTest, StreamEqualsBatchReader) {

@@ -20,23 +20,7 @@
 namespace jsched {
 namespace {
 
-/// Unique temp path per test; removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& stem)
-      : path_(std::string(::testing::TempDir()) + stem + "-" +
-              std::to_string(counter_++) + ".journal") {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  static int counter_;
-  std::string path_;
-};
-
-int TempFile::counter_ = 0;
+using test::TempFile;
 
 TEST(Journal, AppendLogRoundTripsLines) {
   TempFile f("appendlog");

@@ -25,6 +25,7 @@
 #include "serve/daemon.h"
 #include "serve/feed.h"
 #include "sim/streaming.h"
+#include "test_support.h"
 #include "util/clock.h"
 #include "util/journal.h"
 #include "util/rng.h"
@@ -42,22 +43,7 @@ using serve::ServeOptions;
 using serve::ServeReport;
 using serve::SubmitRecord;
 
-class TempJournal {
- public:
-  explicit TempJournal(const std::string& stem)
-      : path_(std::string(::testing::TempDir()) + stem + "-" +
-              std::to_string(counter_++) + ".journal") {
-    std::remove(path_.c_str());
-  }
-  ~TempJournal() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  static int counter_;
-  std::string path_;
-};
-
-int TempJournal::counter_ = 0;
+using test::TempFile;
 
 // ------------------------------------------------- AdmissionJournal unit
 
@@ -72,7 +58,7 @@ SubmitRecord rec(Time submit, int nodes, Duration runtime) {
 }
 
 TEST(AdmissionJournal, RoundTripsAdmissionsDropsAndDecisions) {
-  TempJournal f("adm-roundtrip");
+  TempFile f("adm-roundtrip");
   {
     AdmissionJournal j(f.path());
     EXPECT_FALSE(j.has_history());
@@ -107,7 +93,7 @@ TEST(AdmissionJournal, RoundTripsAdmissionsDropsAndDecisions) {
 }
 
 TEST(AdmissionJournal, SuppressesReplayedDecisionsByEpoch) {
-  TempJournal f("adm-dedup");
+  TempFile f("adm-dedup");
   {
     AdmissionJournal j(f.path());
     j.begin_run();
@@ -130,7 +116,7 @@ TEST(AdmissionJournal, SuppressesReplayedDecisionsByEpoch) {
 }
 
 TEST(AdmissionJournal, DetectsCorruptRecords) {
-  TempJournal f("adm-corrupt");
+  TempFile f("adm-corrupt");
   {
     AdmissionJournal j(f.path());
     j.begin_run();
@@ -151,7 +137,7 @@ TEST(AdmissionJournal, DetectsCorruptRecords) {
 }
 
 TEST(AdmissionJournal, TornTailIsDroppedNotFatal) {
-  TempJournal f("adm-torn");
+  TempFile f("adm-torn");
   {
     AdmissionJournal j(f.path());
     j.begin_run();
@@ -229,7 +215,7 @@ void expect_reports_identical(const ServeReport& a, const ServeReport& b) {
 
 TEST(ServeRecovery, JournalingOffAndOnProduceTheSameSchedule) {
   const ServeReport plain = run_once(recovery_options(nullptr));
-  TempJournal f("journal-overhead");
+  TempFile f("journal-overhead");
   AdmissionJournal journal(f.path());
   const ServeReport journaled = run_once(recovery_options(&journal));
   expect_reports_identical(plain, journaled);
@@ -251,7 +237,7 @@ TEST(ServeRecovery, RestartAtRandomizedKillPointsIsBitIdentical) {
   }
   for (const int polls : kill_points) {
     SCOPED_TRACE("killed after " + std::to_string(polls) + " polls");
-    TempJournal f("kill-point");
+    TempFile f("kill-point");
     {
       AdmissionJournal journal(f.path());
       // A kill point past the end of the run simply completes — the
@@ -269,7 +255,7 @@ TEST(ServeRecovery, RestartAtRandomizedKillPointsIsBitIdentical) {
 
 TEST(ServeRecovery, RestartsComposeAcrossRepeatedCrashes) {
   const ServeReport reference = run_once(recovery_options(nullptr));
-  TempJournal f("double-kill");
+  TempFile f("double-kill");
   {
     AdmissionJournal journal(f.path());
     (void)run_aborted(&journal, 10);
@@ -301,7 +287,7 @@ TEST(ServeRecovery, FaultyRunRecoversWithRequeuesIntact) {
   EXPECT_GT(reference.killed, 0u);
   EXPECT_EQ(reference.killed, reference.requeued);
 
-  TempJournal f("faulty-kill");
+  TempFile f("faulty-kill");
   {
     AdmissionJournal journal(f.path());
     (void)run_aborted(&journal, 40, faults);
@@ -334,7 +320,7 @@ TEST(ServeRecovery, PacedRecoveryUnderManualClockIsDeterministic) {
     return run_once(options);
   };
   const ServeReport reference = paced_run(nullptr, 0);
-  TempJournal f("paced-kill");
+  TempFile f("paced-kill");
   {
     AdmissionJournal journal(f.path());
     (void)paced_run(&journal, 30);
@@ -378,7 +364,7 @@ TEST(ServeRecovery, ChildCrashRun) {
 
 TEST(ServeRecovery, SigkilledProcessRecoversBitIdentical) {
   const ServeReport reference = run_once(recovery_options(nullptr));
-  TempJournal f("sigkill-smoke");
+  TempFile f("sigkill-smoke");
   // Two real SIGKILLs at different depths, then an in-process restart.
   for (const char* budget : {"120", "700"}) {
     auto child = util::Subprocess::spawn(

@@ -1,5 +1,11 @@
 #include "test_support.h"
 
+#include <unistd.h>
+
+#include <cstdio>
+
+#include <gtest/gtest.h>
+
 namespace jsched::test {
 
 Job make_job(Time submit, int nodes, Duration runtime, Duration estimate) {
@@ -45,5 +51,22 @@ workload::Workload small_mixed_workload() {
       make_job(220, 1, 20, 30),     // 9
   });
 }
+
+TempFile::TempFile(const std::string& stem, const std::string& extension) {
+  static int counter = 0;
+  std::string test = "none";
+  if (const auto* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    test = std::string(info->test_suite_name()) + "." + info->name();
+  }
+  for (char& c : test) {
+    if (c == '/') c = '_';  // parameterized names
+  }
+  path_ = ::testing::TempDir() + stem + "-" + std::to_string(counter++) +
+          "-" + std::to_string(::getpid()) + "-" + test + extension;
+  std::remove(path_.c_str());
+}
+
+TempFile::~TempFile() { std::remove(path_.c_str()); }
 
 }  // namespace jsched::test

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/factory.h"
@@ -32,5 +33,24 @@ workload::Workload small_mixed_workload();
 /// the golden-grid regression test and by future optimization PRs.
 std::uint64_t run_fingerprint(const core::AlgorithmSpec& spec,
                               const workload::Workload& w, int nodes = 16);
+
+/// A scratch file unique to the running test, removed on construction and
+/// destruction. Its path is the gtest temp dir plus `stem`, a per-process
+/// counter (one test may hold several files with the same stem), the
+/// process id and the current test's full name, then `extension`: ctest
+/// runs every case as its own process, in parallel under -j, so a path
+/// shared between cases is a race.
+class TempFile {
+ public:
+  explicit TempFile(const std::string& stem,
+                    const std::string& extension = ".journal");
+  ~TempFile();
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace jsched::test
