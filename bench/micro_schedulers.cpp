@@ -273,25 +273,13 @@ void BM_ConservativeOnTimeCompletions(benchmark::State& state) {
 BENCHMARK(BM_ConservativeOnTimeCompletions)
     ->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 
-// The default (incremental) replan path on the workload it was built for:
-// an end-to-end FCFS + conservative simulation over a CTC prefix, where
-// most completions beat their estimate but return too little capacity to
-// move anything. Conservative correctness demands a replan per early
-// completion; exact screening plus cross-replan certificates should prove
-// the window unmoved in O(window) instead of re-placing it (the
-// lift-everything cost BM_ConservativeReplanHeavy measures). The counters
-// surface the replan accounting in the JSON so a perf regression is
-// diagnosable from the run alone — certificates disengaging shows up as
-// `certified` collapsing toward zero (every reuse paying a profile walk
-// again) long before wall time doubles.
-void BM_ConservativeIncrementalReplan(benchmark::State& state) {
-  const std::size_t jobs = static_cast<std::size_t>(state.range(0));
-  const workload::Workload& full = bench_workload();
-  const workload::Workload w(
-      std::vector<Job>(full.jobs().begin(),
-                       full.jobs().begin() +
-                           static_cast<std::ptrdiff_t>(
-                               std::min(jobs, full.jobs().size()))));
+// Runs FCFS + conservative backfilling (default, incremental replan) over
+// `w` once per iteration and publishes the replan accounting as per-
+// iteration JSON counters. The counters are deterministic in the workload,
+// so they diagnose a regression from the run alone and `screen_steps` can
+// be gated against a fixed, host-independent bound.
+void run_conservative_simulation(benchmark::State& state,
+                                 const workload::Workload& w) {
   sim::Machine machine;
   machine.nodes = 256;
 
@@ -314,6 +302,7 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
     total.reused += st.reused;
     total.certified += st.certified;
     total.cursor_restarts += st.cursor_restarts;
+    total.screen_steps += st.screen_steps;
     state.ResumeTiming();
   }
   const auto per_iter = [&](std::uint64_t v) {
@@ -326,10 +315,49 @@ void BM_ConservativeIncrementalReplan(benchmark::State& state) {
   state.counters["reused"] = per_iter(total.reused);
   state.counters["certified"] = per_iter(total.certified);
   state.counters["cursor_restarts"] = per_iter(total.cursor_restarts);
+  state.counters["screen_steps"] = per_iter(total.screen_steps);
+}
+
+// The default (incremental) replan path on the workload it was built for:
+// an end-to-end FCFS + conservative simulation over a CTC prefix, where
+// most completions beat their estimate but return too little capacity to
+// move anything. Conservative correctness demands a replan per early
+// completion; exact screening plus cross-replan certificates should prove
+// the window unmoved in O(window) instead of re-placing it (the
+// lift-everything cost BM_ConservativeReplanHeavy measures). Certificates
+// disengaging shows up as `certified` collapsing toward zero (every reuse
+// paying a profile walk again) long before wall time doubles.
+void BM_ConservativeIncrementalReplan(benchmark::State& state) {
+  const std::size_t jobs = static_cast<std::size_t>(state.range(0));
+  const workload::Workload& full = bench_workload();
+  const workload::Workload w(
+      std::vector<Job>(full.jobs().begin(),
+                       full.jobs().begin() +
+                           static_cast<std::ptrdiff_t>(
+                               std::min(jobs, full.jobs().size()))));
+  run_conservative_simulation(state, w);
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ConservativeIncrementalReplan)
     ->Arg(512)->Arg(2048)->Arg(5000)->Complexity();
+
+// Compression screening over a long trace: FCFS + conservative over the
+// 20,000-job CTC-model trace at the paper-date seed. Backlogs here reach
+// hundreds of jobs, so nearly every early completion re-screens a full
+// replan window whose reservations lie far from `now`. Certified jobs are
+// walked only near the instants where returned capacity crosses their
+// width; `screen_steps` counts the merged breakpoints those walks and the
+// crossing-hull queries consume.
+void BM_ConservativeDeepScreen(benchmark::State& state) {
+  static const workload::Workload w = [] {
+    workload::CtcModelParams p;
+    p.job_count = 20'000;
+    return workload::trim_to_machine(workload::generate_ctc(p, 19990412),
+                                     256);
+  }();
+  run_conservative_simulation(state, w);
+}
+BENCHMARK(BM_ConservativeDeepScreen);
 
 // EASY backfilling behind a blocked head over a deep backlog: the shape of
 // a served 4x-overload run, where every completion triggers a select and

@@ -11,17 +11,17 @@ namespace {
 
 /// Merged breakpoints a single screening query may walk before giving up
 /// and treating the job as moved (an early cutoff is exact — see
-/// replan_incremental). Screens span [now, reservation]; at realistic
-/// replan windows that is a few hundred breakpoints, so the budget only
-/// trips on pathological profiles where scratch re-placement is the
-/// cheaper tool anyway.
+/// replan_incremental). Screens span at most [now, reservation]; at
+/// realistic replan windows that is a few hundred breakpoints, so the
+/// budget only trips on pathological profiles where scratch re-placement
+/// is the cheaper tool anyway.
 constexpr std::size_t kScreenStepBudget = 2048;
 
-/// Merged breakpoints one certificate-revalidation crossing test may walk
-/// before conservatively answering "crossed" (which merely demotes the job
-/// to the individual screen walk, still exact). The walk is confined to
-/// the growth region — a handful of release spans — so the budget only
-/// exists as a backstop.
+/// Merged breakpoints one certificate-revalidation hull query may walk
+/// before answering "unknown" (which merely widens the job's screen to all
+/// of [now, start), still exact). The walk is confined to the growth
+/// region — a handful of release spans — so the budget only exists as a
+/// backstop.
 constexpr std::size_t kCrossingStepBudget = 512;
 
 Time span_end(Time start, Duration duration) {
@@ -199,7 +199,7 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
   // proven, an entrant's reservation was a dormant blocker outside the
   // window; now the overlay lifts it, so a certified predecessor may
   // legitimately move into its slot. Fold their spans into the growth set
-  // the crossing test checks. (Entrants created since the last replan
+  // the crossing-hull query reads. (Entrants created since the last replan
   // never blocked anything — counting them is merely conservative.)
   if (!screen_all_) {
     for (const PlannedJob& p : planned_) {
@@ -211,6 +211,7 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
   }
   growth_overlay_.build(growth_);
   const std::uint64_t restarts_before = cursor_.restarts();
+  const std::uint64_t steps_before = cursor_.steps();
   std::size_t first_affected = planned_.size();
   for (std::size_t k = 0; k < planned_.size(); ++k) {
     const PlannedJob& p = planned_[k];
@@ -222,30 +223,45 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
       // Overdue reservation whose wakeup has not been delivered yet; the
       // scratch procedure re-places it from `now`, which is a move.
       unmoved = false;
-    } else if (!screen_all_ &&
-               std::binary_search(prev_window_.begin(), prev_window_.end(),
-                                  p.id) &&
-               !profile_.capacity_crossed(overlay_, growth_overlay_, now,
-                                          span_end(p.start, p.estimate),
-                                          p.nodes, kCrossingStepBudget)) {
-      // Certificate revalidated. The previous replan proved no earlier
-      // fit exists for this job; with positions 0..k-1 unmoved,
-      // `profile_ + overlay` differs from the capacity it was proven
-      // against only by the growth spans (shrinks cannot create fits,
-      // re-placements of later window positions are lifted out either
-      // way). A new fit would need the combined capacity to cross the
-      // job's width inside the growth region — just tested false — so
-      // the verdict stands without walking [now, start) at all.
-      unmoved = true;
-      ++stats_.certified;
     } else {
-      // No certificate (new window member, post-rebuild, or the growth
-      // crossed this width) — the individual bounded walk over
-      // `profile_ + overlay` is the exact arbiter.
-      const Time fit =
-          profile_.earliest_fit_with(overlay_, cursor_, now, p.estimate,
-                                     p.nodes, p.start, kScreenStepBudget);
-      unmoved = fit == p.start;  // moved — or kTimeInfinity on budget
+      // The individual bounded walk over `profile_ + overlay` is the exact
+      // arbiter. A job certified by the previous replan (a window member
+      // then, no wholesale rebuild since) is walked only where an earlier
+      // fit can have appeared: the previous replan proved no fit starts
+      // in [now, start); with positions 0..k-1 unmoved, `profile_ +
+      // overlay` differs from the capacity it was proven against only by
+      // the growth spans (shrinks cannot create fits, re-placements of
+      // later window positions are lifted out either way). A window that
+      // fits now but did not then must contain an instant where growth
+      // lifted the combined capacity across the job's width, so its start
+      // lies in [first - d + 1, last - 1] for the hull [first, last) of
+      // those crossings. An empty hull certifies the job outright; an
+      // uncertified job (new window member, post-rebuild) or an unknown
+      // hull screens all of [now, start).
+      Time from = now;
+      Time last_start = kTimeInfinity;
+      if (!screen_all_ &&
+          std::binary_search(prev_window_.begin(), prev_window_.end(),
+                             p.id)) {
+        const sim::Profile::CrossingHull hull = profile_.crossing_hull(
+            overlay_, growth_overlay_, now, span_end(p.start, p.estimate),
+            p.nodes, kCrossingStepBudget);
+        stats_.screen_steps += hull.steps;
+        from = hull.empty() ? p.start
+                            : std::max(now, hull.first - p.estimate + 1);
+        last_start = hull.last - 1;
+      }
+      if (from >= p.start) {
+        // No candidate start precedes the job's own slot: unmoved
+        // without a walk.
+        unmoved = true;
+        ++stats_.certified;
+      } else {
+        const Time fit = profile_.earliest_fit_with(
+            overlay_, cursor_, from, p.estimate, p.nodes, p.start,
+            last_start, kScreenStepBudget);
+        unmoved = fit == p.start;  // moved — or kTimeInfinity on budget
+      }
     }
     if (!unmoved) {
       first_affected = k;
@@ -255,6 +271,7 @@ void ConservativeBackfillDispatch::replan_incremental(Time now) {
     ++stats_.reused;
   }
   stats_.cursor_restarts += cursor_.restarts() - restarts_before;
+  stats_.screen_steps += cursor_.steps() - steps_before;
   // Phase 2 — scratch from the first affected position (absent entirely
   // in the common zero-move replan).
   if (first_affected < planned_.size()) replace_from(first_affected, now);

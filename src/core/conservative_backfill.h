@@ -107,6 +107,9 @@ class ConservativeBackfillDispatch final : public Dispatcher {
     std::uint64_t certified = 0;        ///< reused without even a screen walk
     std::uint64_t moved = 0;            ///< re-placements that changed start
     std::uint64_t cursor_restarts = 0;  ///< screen queries that re-anchored
+    /// Merged profile breakpoints walked by screens and crossing-hull
+    /// queries: the deterministic cost of compression screening.
+    std::uint64_t screen_steps = 0;
   };
 
   /// Introspection for tests.
@@ -162,11 +165,12 @@ class ConservativeBackfillDispatch final : public Dispatcher {
   // compressed fixed point: no planned reservation has an earlier fit.
   // That verdict stays exact while capacity only shrinks, so between
   // replans only the *growth* spans (early-completion releases,
-  // normalization releases) can invalidate it — collected here and tested
-  // with Profile::capacity_crossed. Jobs newly entering the replan window
-  // carry no verdict and are always screened (prev_window_ remembers the
-  // previous membership); events that rebuild the plan wholesale set
-  // screen_all_ instead of enumerating growth.
+  // normalization releases) can invalidate it — collected here, and
+  // Profile::crossing_hull narrows each re-screen to the starts near the
+  // instants where they lift capacity across the job's width. Jobs newly
+  // entering the replan window carry no verdict and are always screened
+  // (prev_window_ remembers the previous membership); events that rebuild
+  // the plan wholesale set screen_all_ instead of enumerating growth.
   std::vector<sim::CapacitySpan> growth_;
   sim::CapacityOverlay growth_overlay_;
   std::vector<JobId> prev_window_;  // sorted ids of the last planned window

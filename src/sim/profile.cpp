@@ -84,6 +84,19 @@ std::size_t Profile::segment_at(Time t) const {
   return i - 1;
 }
 
+std::size_t Profile::segment_from(std::size_t i, Time t) const {
+  assert(i >= front_ && i < pts_.size() && pts_[i].t <= t);
+  if (i + 1 == pts_.size() || pts_[i + 1].t > t) return i;
+  return static_cast<std::size_t>(
+             std::upper_bound(pts_.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                              pts_.end(), t,
+                              [](Time v, const Breakpoint& b) {
+                                return v < b.t;
+                              }) -
+             pts_.begin()) -
+         1;
+}
+
 int Profile::capacity_at(Time t) const { return pts_[segment_at(t)].free; }
 
 // --- segment tree ----------------------------------------------------------
@@ -270,19 +283,20 @@ Time Profile::earliest_fit(Time from, Duration duration, int nodes) const {
 
 Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
                                 Time from, Duration duration, int nodes,
-                                Time stop, std::size_t max_steps) const {
+                                Time stop, Time last_start,
+                                std::size_t max_steps) const {
   assert(duration > 0);
   assert(stop >= from);
 
   // Re-anchor the cursor: resume from its cached segment when it is still
   // talking about this profile at this version and `from` has not moved
-  // backwards; otherwise one binary search.
+  // backwards (a binary search right of it when `from` jumped ahead);
+  // otherwise one binary search over the whole live range.
   std::size_t i;
   if (cursor.owner_ == this && cursor.version_ == version_ &&
       cursor.idx_ >= front_ && cursor.idx_ < pts_.size() &&
       pts_[cursor.idx_].t <= from) {
-    i = cursor.idx_;
-    while (i + 1 < pts_.size() && pts_[i + 1].t <= from) ++i;
+    i = segment_from(cursor.idx_, from);
   } else {
     i = segment_at(from);
     ++cursor.restarts_;
@@ -292,8 +306,8 @@ Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
   cursor.idx_ = i;
 
   const std::size_t n = pts_.size();
-  // Overlay position: index of the last overlay breakpoint at or before
-  // the walk, or SIZE_MAX before the first.
+  // Overlay position: index of the first overlay breakpoint after the
+  // walk (0 = before the first one, where the overlay adds nothing).
   std::size_t o = static_cast<std::size_t>(
       std::upper_bound(extra.t_.begin(), extra.t_.end(), from) -
       extra.t_.begin());
@@ -301,30 +315,38 @@ Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
 
   // Standard run-length scan over the merged step function: `run` is the
   // earliest instant since which combined capacity has continuously been
-  // >= nodes (kTimeInfinity = no open run).
+  // >= nodes (kTimeInfinity = no open run). A run only opens at or before
+  // `last_start`, so every returned run start respects the bound.
   int combined = pts_[i].free + over;
-  Time run = combined >= nodes ? from : kTimeInfinity;
+  Time run = combined >= nodes && from <= last_start ? from : kTimeInfinity;
   std::size_t steps = 0;
+  const auto done = [&](Time result) {
+    cursor.steps_ += steps;
+    return result;
+  };
   while (true) {
     const Time next_p = i + 1 < n ? pts_[i + 1].t : kTimeInfinity;
     const Time next_o = o < extra.t_.size() ? extra.t_[o] : kTimeInfinity;
     const Time boundary = std::min(next_p, next_o);
-    if (run != kTimeInfinity && boundary - run >= duration) return run;
+    if (run != kTimeInfinity && boundary - run >= duration) return done(run);
     if (boundary >= stop) {
       // The walk reached the caller-guaranteed fit at `stop`. An open run
       // that started earlier extends through [stop, stop + duration) by
       // that guarantee, so it is the (earlier) answer; otherwise `stop`
       // itself is the earliest fit.
-      if (run != kTimeInfinity) return run < stop ? run : stop;
+      if (run != kTimeInfinity) return done(run < stop ? run : stop);
       if (boundary == kTimeInfinity) {
         // Only reachable with stop == kTimeInfinity: the final merged
         // segment extends forever under capacity — impossible while
         // allocations are finite, same invariant as earliest_fit.
         throw std::logic_error("Profile: final segment under capacity");
       }
-      return stop;
+      return done(stop);
     }
-    if (++steps > max_steps) return kTimeInfinity;  // budget exhausted
+    // No window is open and the next one could only start after
+    // `last_start`: no admissible start precedes `stop`.
+    if (run == kTimeInfinity && boundary > last_start) return done(stop);
+    if (++steps > max_steps) return done(kTimeInfinity);  // budget exhausted
     if (boundary == next_p) ++i;
     if (boundary == next_o) over = extra.add_[o++];
     combined = pts_[i].free + over;
@@ -336,39 +358,65 @@ Time Profile::earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
   }
 }
 
-bool Profile::capacity_crossed(const CapacityOverlay& extra,
-                               const CapacityOverlay& growth, Time from,
-                               Time to, int nodes,
-                               std::size_t max_steps) const {
+Profile::CrossingHull Profile::crossing_hull(const CapacityOverlay& extra,
+                                             const CapacityOverlay& growth,
+                                             Time from, Time to, int nodes,
+                                             std::size_t max_steps) const {
+  CrossingHull hull{to, to, 0};  // empty until a crossing is found
+  bool found = false;
   std::size_t steps = 0;
   const std::size_t gn = growth.t_.size();
-  for (std::size_t gi = 0; gi < gn; ++gi) {
-    if (growth.t_[gi] >= to) break;
+  // First growth segment that can reach `from`.
+  std::size_t gi = static_cast<std::size_t>(
+      std::upper_bound(growth.t_.begin(), growth.t_.end(), from) -
+      growth.t_.begin());
+  if (gi > 0) --gi;
+  // Merged-walk position, anchored by binary search at the first growth
+  // segment and carried forward across the later ones.
+  std::size_t i = 0;
+  std::size_t o = 0;
+  bool anchored = false;
+  for (; gi < gn && growth.t_[gi] < to; ++gi) {
     const int g = growth.add_[gi];
-    const Time gend = gi + 1 < gn ? growth.t_[gi + 1] : kTimeInfinity;
     if (g <= 0) continue;
+    const Time gend = gi + 1 < gn ? growth.t_[gi + 1] : kTimeInfinity;
     const Time lo = std::max(growth.t_[gi], from);
     const Time hi = std::min(gend, to);
     if (lo >= hi) continue;
+    if (anchored) {
+      i = segment_from(i, lo);
+      o = static_cast<std::size_t>(
+          std::upper_bound(extra.t_.begin() + static_cast<std::ptrdiff_t>(o),
+                           extra.t_.end(), lo) -
+          extra.t_.begin());
+    } else {
+      i = segment_at(lo);
+      o = static_cast<std::size_t>(
+          std::upper_bound(extra.t_.begin(), extra.t_.end(), lo) -
+          extra.t_.begin());
+      anchored = true;
+    }
     // Merged walk of profile + extra across this growth segment.
-    std::size_t i = segment_at(lo);
-    std::size_t o = static_cast<std::size_t>(
-        std::upper_bound(extra.t_.begin(), extra.t_.end(), lo) -
-        extra.t_.begin());
+    Time at = lo;
     while (true) {
       const int s = pts_[i].free + (o == 0 ? 0 : extra.add_[o - 1]);
-      if (s >= nodes && s - g < nodes) return true;
       const Time next_p = i + 1 < pts_.size() ? pts_[i + 1].t : kTimeInfinity;
-      const Time next_o =
-          o < extra.t_.size() ? extra.t_[o] : kTimeInfinity;
+      const Time next_o = o < extra.t_.size() ? extra.t_[o] : kTimeInfinity;
       const Time boundary = std::min(next_p, next_o);
+      if (s >= nodes && s - g < nodes) {
+        if (!found) hull.first = at;
+        found = true;
+        hull.last = std::min(boundary, hi);
+      }
       if (boundary >= hi) break;
-      if (++steps > max_steps) return true;  // unknown — caller re-screens
+      if (++steps > max_steps) return {from, to, steps};  // unknown
       if (boundary == next_p) ++i;
       if (boundary == next_o) ++o;
+      at = boundary;
     }
   }
-  return false;
+  hull.steps = steps;
+  return hull;
 }
 
 // --- mutations --------------------------------------------------------------

@@ -117,17 +117,21 @@ class Profile {
 
   /// Resumable scan state for batched earliest-fit queries. A cursor
   /// remembers which segment contained the previous query's `from`, so a
-  /// run of queries anchored at the same (or advancing) instant skips the
-  /// per-query binary search and resumes walking the breakpoint vector
-  /// where it stood. The cursor revalidates itself against the owning
-  /// profile and its mutation counter: any profile mutation (or a different
-  /// profile) forces one fresh binary search, counted in restarts().
-  /// Stale cursors are therefore always safe, never wrong.
+  /// run of queries anchored at the same instant skips the per-query
+  /// binary search, and a query whose `from` moved forward re-anchors by a
+  /// binary search over the breakpoints right of the cached segment only.
+  /// The cursor revalidates itself against the owning profile and its
+  /// mutation counter: any profile mutation (or a different profile)
+  /// forces one fresh binary search over the whole live range, counted in
+  /// restarts(). Stale cursors are therefore always safe, never wrong.
   class Cursor {
    public:
-    /// Queries that had to re-anchor with a binary search instead of
-    /// resuming (first use, profile mutated, or `from` moved backwards).
+    /// Queries that could not resume from the cached segment (first use,
+    /// profile mutated, or `from` moved backwards).
     std::uint64_t restarts() const noexcept { return restarts_; }
+    /// Merged breakpoints walked by all queries through this cursor,
+    /// added once per query (a deterministic, host-independent cost).
+    std::uint64_t steps() const noexcept { return steps_; }
 
    private:
     friend class Profile;
@@ -135,42 +139,57 @@ class Profile {
     std::uint64_t version_ = 0;
     std::size_t idx_ = 0;  // segment index of the previous query's `from`
     std::uint64_t restarts_ = 0;
+    std::uint64_t steps_ = 0;
   };
 
   /// Earliest fit of (duration, nodes) in the pointwise sum
-  /// `*this + extra`, scanning merged breakpoints linearly from `from`,
-  /// clamped at `stop`. Precondition: `stop` is itself a known fit — the
-  /// caller guarantees `nodes` free throughout [stop, stop + duration) in
-  /// the sum (compression screening satisfies this trivially: the
-  /// reservation under test is allocated in the profile and lifted by the
-  /// overlay, so its own window has >= nodes free). Under that guarantee
-  /// the result is exact: the true earliest fit if it starts before
-  /// `stop`, else `stop` — and the walk never advances past `stop`, which
-  /// is what makes screening cheap when reservations are close to now.
-  /// Unlike earliest_fit() this never touches the segment tree (and so
-  /// never pays a deferred rebuild). Returns kTimeInfinity when
-  /// `max_steps` merged breakpoints were consumed first ("unknown —
-  /// caller falls back"); a real fit is always finite.
+  /// `*this + extra` that starts in [from, last_start], scanning merged
+  /// breakpoints linearly from `from`, clamped at `stop`. Precondition:
+  /// `stop` is itself a known fit — the caller guarantees `nodes` free
+  /// throughout [stop, stop + duration) in the sum (compression screening
+  /// satisfies this trivially: the reservation under test is allocated in
+  /// the profile and lifted by the overlay, so its own window has >= nodes
+  /// free). Under that guarantee the result is exact: the earliest fit
+  /// starting in [from, min(last_start, stop - 1)] if there is one, else
+  /// `stop` — and the walk never advances past `stop`, nor past
+  /// `last_start` unless a window opened at or before it is still being
+  /// measured, which is what makes screening cheap when reservations are
+  /// close to now or the candidate starts are known to be few. Pass
+  /// kTimeInfinity as `last_start` for an unbounded screen. Unlike
+  /// earliest_fit() this never touches the segment tree (and so never pays
+  /// a deferred rebuild). Returns kTimeInfinity when `max_steps` merged
+  /// breakpoints were consumed first ("unknown — caller falls back"); a
+  /// real fit is always finite.
   Time earliest_fit_with(const CapacityOverlay& extra, Cursor& cursor,
                          Time from, Duration duration, int nodes, Time stop,
-                         std::size_t max_steps) const;
+                         Time last_start, std::size_t max_steps) const;
 
-  /// Certificate revalidation: true iff the capacity described by
-  /// `growth` could have newly unblocked a width-`nodes` window somewhere
-  /// in [from, to) — i.e. some instant u with growth(u) > 0 has combined
-  /// capacity (*this + extra) at least `nodes` now but not before the
-  /// growth: combined(u) - growth(u) < nodes <= combined(u). A reservation
-  /// screened unmoved while capacity could only shrink stays unmoved
-  /// unless such a crossing exists (every previously-blocked window keeps
-  /// its blocker), so a false result extends the previous screen's
-  /// verdict exactly; a true result means "maybe" and the caller must
-  /// re-screen. Only the growth region is walked — the cost is
-  /// proportional to the capacity returned since the last replan, not to
-  /// the replan window. Returns true when `max_steps` breakpoints were
-  /// consumed first (unknown — caller falls back).
-  bool capacity_crossed(const CapacityOverlay& extra,
-                        const CapacityOverlay& growth, Time from, Time to,
-                        int nodes, std::size_t max_steps) const;
+  /// Result of crossing_hull(): the crossing instants lie in
+  /// [first, last); `steps` merged breakpoints were walked to find them.
+  struct CrossingHull {
+    Time first;
+    Time last;
+    std::size_t steps;
+    bool empty() const noexcept { return first >= last; }
+  };
+
+  /// Certificate revalidation: the hull of the instants u in [from, to)
+  /// where the capacity described by `growth` lifts the combined capacity
+  /// (*this + extra) across width `nodes` — growth(u) > 0 and
+  /// combined(u) - growth(u) < nodes <= combined(u). A window that had no
+  /// fit before the growth and fits now must contain such an instant
+  /// (every previously-blocked window keeps its blocker unless growth
+  /// lifted it), so a width-`nodes`, length-d window can have become
+  /// feasible only if it starts in [first - d + 1, last - 1]. An empty
+  /// hull extends a previous "no earlier fit" verdict exactly. Only the
+  /// growth region is walked — the cost is proportional to the capacity
+  /// returned since the last replan, not to the replan window. When
+  /// `max_steps` breakpoints are consumed first the answer is unknown and
+  /// the whole range [from, to) is returned, which localizes nothing (the
+  /// caller's screen covers everything, exactly as without a hull).
+  CrossingHull crossing_hull(const CapacityOverlay& extra,
+                             const CapacityOverlay& growth, Time from, Time to,
+                             int nodes, std::size_t max_steps) const;
 
   /// Subtract `nodes` over [start, start + duration). Precondition: fits().
   void allocate(Time start, Duration duration, int nodes);
@@ -222,6 +241,9 @@ class Profile {
 
   /// Index of the segment containing t (pts_[i].t <= t < pts_[i+1].t).
   std::size_t segment_at(Time t) const;
+  /// segment_at(t) for a live index i with pts_[i].t <= t: binary search
+  /// right of i only, O(1) when t is still inside segment i.
+  std::size_t segment_from(std::size_t i, Time t) const;
 
   /// First index with pts_[i].t >= t (== pts_.size() when none), searching
   /// the live range [front_, size).

@@ -148,6 +148,87 @@ TEST(ConservativeDifferential, CertificatesActuallyEngage) {
   EXPECT_LE(st.certified, st.reused);  // certified is a subset of reused
 }
 
+// --- localized certificate re-screens ---------------------------------------
+//
+// A certified job (no earlier fit at the previous replan) is re-screened
+// only over starts in [first - d + 1, last - 1], where [first, last) is
+// the hull of the instants at which capacity returned since then lifts the
+// combined capacity across the job's width, and d is its estimate. An off-
+// by-one at either end keeps the reservation where it was, so the schedule
+// leaves the scratch reference's exactly when the only earlier fit sits on
+// that end. Whole-second workloads with tiny runtimes put fits on those
+// ends often; random real-valued ones almost never do.
+
+TEST(ConservativeDifferential, OnlyEarlierFitAtLastCrossingMatchesScratch) {
+  // Two nodes, replan prefix 2. Job 2 (both nodes, estimate 8) reserves
+  // [10, 18) behind the estimated ends of jobs 0 and 1. Job 0 finishes at
+  // 6 and job 3 backfills [6, 9) onto its node; that replan screens job 2
+  // in place and certifies it. Job 1 finishes at 7, returning one node
+  // over [7, 10).
+  // Width 2 is crossed only on [9, 10), once job 3's estimate ends, so the
+  // hull is [9, 10) and the only earlier fit starts at last - 1 = 9.
+  const workload::Workload w = test::make_workload({
+      make_job(0, 1, 6, 10),
+      make_job(3, 1, 4, 7),
+      make_job(5, 2, 1, 8),
+      make_job(6, 1, 3, 3),
+  });
+  ConservativeParams p;
+  p.replan_prefix = 2;
+  expect_matches_scratch(w, 2, p, "fit at last - 1");
+  EXPECT_EQ(test::run(cons_spec(p), w, 2).records()[2].start, 9);
+}
+
+TEST(ConservativeDifferential,
+     OnlyEarlierFitEndingAtFirstCrossingMatchesScratch) {
+  // Three nodes, replan prefix 3: a job entering the window adds its
+  // lifted reservation to the growth. At the completion at 29, job 6
+  // (all three nodes, estimate 8) is certified at 44; the hull of its
+  // crossings is [37, 38), and the only earlier fit is [30, 38), whose
+  // last second is the first crossing: it starts at first - d + 1 = 30,
+  // one second after `now`.
+  const workload::Workload w = test::make_workload({
+      make_job(0, 3, 2, 2),    make_job(0, 3, 9, 18),  make_job(3, 3, 11, 11),
+      make_job(4, 3, 5, 5),    make_job(8, 3, 2, 2),   make_job(10, 2, 1, 1),
+      make_job(15, 3, 8, 8),   make_job(20, 1, 6, 6),  make_job(24, 2, 6, 6),
+      make_job(28, 3, 11, 19), make_job(30, 1, 12, 12), make_job(34, 2, 8, 8),
+      make_job(36, 1, 2, 2),   make_job(36, 1, 7, 16), make_job(41, 1, 4, 4),
+  });
+  ConservativeParams p;
+  p.replan_prefix = 3;
+  expect_matches_scratch(w, 3, p, "fit at first - d + 1");
+  EXPECT_EQ(test::run(cons_spec(p), w, 3).records()[6].start, 30);
+}
+
+TEST(ConservativeDifferential, WholeSecondWorkloadsMatchScratch) {
+  // Thousands of tiny whole-second workloads (2-6 nodes, runtimes and
+  // over-estimates of 1-8 s, arrivals 0-3 s apart) across the replan
+  // prefixes that make window entrants part of the growth.
+  std::mt19937_64 rng(20'260'418);
+  const auto draw = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  for (int round = 0; round < 3000; ++round) {
+    const int nodes = draw(2, 6);
+    const int count = draw(4, 12);
+    std::vector<Job> js;
+    Time t = 0;
+    for (int i = 0; i < count; ++i) {
+      t += draw(0, 3);
+      const Duration runtime = draw(1, 8);
+      js.push_back(make_job(t, draw(1, nodes), runtime,
+                            draw(0, 1) ? runtime : runtime + draw(1, 8)));
+    }
+    ConservativeParams p;
+    if (const int prefix = draw(0, 3); prefix > 0) {
+      p.replan_prefix = static_cast<std::size_t>(prefix);
+    }
+    expect_matches_scratch(test::make_workload(std::move(js)), nodes, p,
+                           "round " + std::to_string(round));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 // --- replan_prefix boundary semantics ---------------------------------------
 
 /// Deep-queue workload whose reserved set stays around `depth` jobs.

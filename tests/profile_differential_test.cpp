@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -415,6 +417,290 @@ TEST(ProfileDifferential, DenseSmallMachineStressesMerging) {
     d.expect_identical(op);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// --- screening queries: earliest_fit_with and crossing_hull ---------------
+
+/// Brute-force view of `profile + extra` with a separate `growth` layer:
+/// the reference profile's capacity plus explicitly summed spans, sampled
+/// on the union of every edge any layer can have. Between two consecutive
+/// edges all three layers are constant, so each elementary piece is
+/// evaluated once and every query is a scan over pieces.
+class ScreenOracle {
+ public:
+  ScreenOracle(const ReferenceProfile& ref,
+               const std::vector<ActiveAllocation>& allocations,
+               const std::vector<CapacitySpan>& extra,
+               const std::vector<CapacitySpan>& growth, Time now) {
+    std::vector<Time> edges{now};
+    for (const ActiveAllocation& a : allocations) {
+      edges.push_back(a.start);
+      if (a.end() != kTimeInfinity) edges.push_back(a.end());
+    }
+    for (const auto* spans : {&extra, &growth}) {
+      for (const CapacitySpan& s : *spans) {
+        edges.push_back(s.start);
+        if (s.end != kTimeInfinity) edges.push_back(s.end);
+      }
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    for (Time e : edges) {
+      if (e < now) continue;  // compacted history: not queryable
+      const auto sum = [e](const std::vector<CapacitySpan>& spans) {
+        int total = 0;
+        for (const CapacitySpan& s : spans) {
+          if (s.start <= e && e < s.end) total += s.nodes;
+        }
+        return total;
+      };
+      start_.push_back(e);
+      combined_.push_back(ref.capacity_at(e) + sum(extra));
+      growth_.push_back(sum(growth));
+    }
+  }
+
+  /// Earliest t in [from, last] (inclusive) with `nodes` free throughout
+  /// [t, t + duration), or kTimeInfinity. Candidates are `from` and the
+  /// piece starts after it: a fit inside a piece implies one at its start.
+  Time earliest_fit(Time from, Duration duration, int nodes,
+                    Time last) const {
+    for (std::size_t k = piece_at(from); k < start_.size(); ++k) {
+      const Time t = std::max(from, start_[k]);
+      if (t > last) break;
+      if (fits_from(k, t, duration, nodes)) return t;
+    }
+    return kTimeInfinity;
+  }
+
+  /// Hull [first, last) of the crossing instants in [from, to); empty
+  /// hulls come back as first >= last.
+  std::pair<Time, Time> crossing_hull(Time from, Time to, int nodes) const {
+    Time first = kTimeInfinity;
+    Time last = kTimeInfinity;
+    for (std::size_t k = piece_at(from); k < start_.size(); ++k) {
+      const Time lo = std::max(from, start_[k]);
+      const Time hi =
+          std::min(to, k + 1 < start_.size() ? start_[k + 1] : kTimeInfinity);
+      if (lo >= to) break;
+      const int c = combined_[k];
+      const int g = growth_[k];
+      if (lo < hi && g > 0 && c >= nodes && c - g < nodes) {
+        if (first == kTimeInfinity) first = lo;
+        last = hi;
+      }
+    }
+    if (first == kTimeInfinity) return {to, to};
+    return {first, last};
+  }
+
+ private:
+  std::size_t piece_at(Time t) const {
+    const auto it = std::upper_bound(start_.begin(), start_.end(), t);
+    EXPECT_TRUE(it != start_.begin()) << "query at " << t << " before now";
+    return it == start_.begin()
+               ? 0
+               : static_cast<std::size_t>(it - start_.begin()) - 1;
+  }
+
+  bool fits_from(std::size_t k, Time t, Duration duration, int nodes) const {
+    const Time end = t > kTimeInfinity - duration ? kTimeInfinity : t + duration;
+    for (; k < start_.size() && start_[k] < end; ++k) {
+      if (combined_[k] < nodes) return false;
+    }
+    return true;
+  }
+
+  std::vector<Time> start_;  // piece k covers [start_[k], start_[k + 1])
+  std::vector<int> combined_;
+  std::vector<int> growth_;
+};
+
+/// Differential fuzz of the two compression-screening queries on
+/// profiles with hundreds of breakpoints. Each round reshapes the profile
+/// (reservations, early releases, compaction), lays an overlay of lifted
+/// allocations and an independent growth layer over it, and fires
+/// queries whose `from`, `stop`, last-start bound and step budget are
+/// drawn around the profile's own breakpoints, where off-by-one errors
+/// live. Small budgets must answer "unknown" (kTimeInfinity, or the whole
+/// range for the hull) or the exact answer, never a wrong one.
+void run_screen_fuzz(std::uint64_t seed, std::size_t rounds) {
+  constexpr int kTotal = 64;
+  Differ d(kTotal);
+  util::Rng rng(seed);
+  std::vector<ActiveAllocation> active;
+  Time now = 0;
+  Profile::Cursor cursor;
+  std::size_t moved = 0;
+  std::size_t bounded_out = 0;
+  std::size_t crossed = 0;
+
+  const auto random_span = [&](Time lo, Time width) {
+    const Time start = lo + rng.uniform_int(0, width);
+    return CapacitySpan{start, start + rng.uniform_int(1, width / 4),
+                        static_cast<int>(rng.uniform_int(1, kTotal / 4))};
+  };
+
+  for (std::size_t round = 0; round < rounds; ++round) {
+    // Reshape: keep ~150 live allocations (hundreds of breakpoints).
+    while (active.size() < 150) {
+      const int nodes = static_cast<int>(rng.uniform_int(1, kTotal / 2));
+      const Duration dur = rng.uniform_int(1, 3000);
+      const Time from = now + rng.uniform_int(0, 20'000);
+      const Time start = d.fast().earliest_fit(from, dur, nodes);
+      ASSERT_EQ(start, d.ref().earliest_fit(from, dur, nodes));
+      d.fast().allocate(start, dur, nodes);
+      d.ref().allocate(start, dur, nodes);
+      active.push_back({start, dur, nodes});
+    }
+    for (int k = 0; k < 10; ++k) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(active.size()) - 1));
+      const ActiveAllocation a = active[pick];
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
+      const Time release_from = std::max(a.start, now);
+      if (a.end() > release_from) {
+        d.fast().release(release_from, a.end() - release_from, a.nodes);
+        d.ref().release(release_from, a.end() - release_from, a.nodes);
+      }
+    }
+    now += rng.uniform_int(0, 400);
+    d.fast().compact(now);
+    d.ref().compact(now);
+    std::erase_if(active,
+                  [&](const ActiveAllocation& a) { return a.end() <= now; });
+    d.expect_identical(round);
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_GE(d.fast().breakpoints(), 100u) << "round " << round;
+
+    // Overlay: lift a random subset of the live allocations, as a replan
+    // screen lifts the reservations it has not reached yet.
+    std::vector<CapacitySpan> extra_spans;
+    for (const ActiveAllocation& a : active) {
+      if (a.start >= now && rng.bernoulli(0.3)) {
+        extra_spans.push_back({a.start, a.end(), a.nodes});
+      }
+    }
+    // Allocation edges at or after `now`: anchors that land exactly on a
+    // breakpoint, where a segment lookup is most easily off by one.
+    std::vector<Time> edges;
+    for (const ActiveAllocation& a : active) {
+      if (a.start >= now) edges.push_back(a.start);
+      if (a.end() >= now) edges.push_back(a.end());
+    }
+    std::sort(edges.begin(), edges.end());
+    const auto edge_after = [&](Time t) {
+      const auto it = std::lower_bound(edges.begin(), edges.end(), t);
+      if (it == edges.end()) return t;
+      const auto span = std::min<std::int64_t>(edges.end() - it, 8);
+      return *(it + rng.uniform_int(0, span - 1));
+    };
+    std::vector<CapacitySpan> growth_spans;
+    const std::int64_t growth_count = rng.uniform_int(0, 6);
+    for (std::int64_t k = 0; k < growth_count; ++k) {
+      CapacitySpan g = random_span(now, 20'000);
+      if (rng.bernoulli(0.5)) g.start = std::min(edge_after(g.start), g.end - 1);
+      growth_spans.push_back(g);
+    }
+    CapacityOverlay extra;
+    extra.build(extra_spans);
+    CapacityOverlay growth;
+    growth.build(growth_spans);
+    const ScreenOracle oracle(d.ref(), active, extra_spans, growth_spans, now);
+
+    // Screens from a drifting anchor: mostly forward (cursor resumes or
+    // jumps ahead), sometimes backwards (cursor must re-anchor).
+    Time from = now;
+    for (int q = 0; q < 40; ++q) {
+      const Time prev_from = from;
+      if (rng.bernoulli(0.15)) {
+        from = now + rng.uniform_int(0, 20'000);
+      } else {
+        from += rng.uniform_int(0, 300);
+      }
+      if (rng.bernoulli(0.3)) from = edge_after(from);
+      const Duration dur = rng.uniform_int(1, 4000);
+      const int nodes = static_cast<int>(rng.uniform_int(1, kTotal));
+      const Time stop = oracle.earliest_fit(from + rng.uniform_int(0, 6000),
+                                            dur, nodes, kTimeInfinity);
+      // The last-start bound: none, arbitrary, or within one second of
+      // the unbounded answer.
+      const Time free_fit = oracle.earliest_fit(from, dur, nodes, stop - 1);
+      Time last_start = kTimeInfinity;
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          break;
+        case 1:
+          last_start = from + rng.uniform_int(-5, 6000);
+          break;
+        default:
+          last_start = std::min(free_fit, stop) + rng.uniform_int(-1, 1);
+      }
+      const Time fit = oracle.earliest_fit(from, dur, nodes,
+                                           std::min(last_start, stop - 1));
+      const Time expected = fit == kTimeInfinity ? stop : fit;
+      if (expected < stop) ++moved;
+      if (free_fit < stop && expected == stop) ++bounded_out;
+      const std::uint64_t restarts = cursor.restarts();
+      const std::uint64_t steps = cursor.steps();
+      ASSERT_EQ(d.fast().earliest_fit_with(extra, cursor, from, dur, nodes,
+                                           stop, last_start, 1u << 20),
+                expected)
+          << "round " << round << " query " << q << " from=" << from
+          << " dur=" << dur << " nodes=" << nodes << " stop=" << stop
+          << " last_start=" << last_start;
+      // The profile is unchanged within a round: after the round's first
+      // query the cursor resumes whenever `from` did not move backwards
+      // (a backward move re-anchors unless it stays in the same segment).
+      if (q > 0) {
+        EXPECT_LE(cursor.restarts(), restarts + (from < prev_from ? 1 : 0))
+            << "round " << round << " query " << q;
+      }
+      EXPECT_LE(cursor.steps() - steps, 1u << 20);
+      // Tight budgets: exact, or "unknown".
+      const std::size_t budget =
+          static_cast<std::size_t>(rng.uniform_int(0, 40));
+      const Time bounded = d.fast().earliest_fit_with(
+          extra, cursor, from, dur, nodes, stop, last_start, budget);
+      ASSERT_TRUE(bounded == expected || bounded == kTimeInfinity)
+          << "round " << round << " query " << q << " budget " << budget;
+
+      // Crossing hull over the window a certified job at `stop` owns.
+      const Time to = stop + dur;
+      const auto [first, last] = oracle.crossing_hull(from, to, nodes);
+      const Profile::CrossingHull hull =
+          d.fast().crossing_hull(extra, growth, from, to, nodes, 1u << 20);
+      if (first >= last) {
+        ASSERT_TRUE(hull.empty()) << "round " << round << " query " << q
+                                  << " hull [" << hull.first << ", "
+                                  << hull.last << ")";
+      } else {
+        ++crossed;
+        ASSERT_EQ(hull.first, first) << "round " << round << " query " << q;
+        ASSERT_EQ(hull.last, last) << "round " << round << " query " << q;
+      }
+      const Profile::CrossingHull cut =
+          d.fast().crossing_hull(extra, growth, from, to, nodes, budget);
+      const bool exact = cut.empty() ? first >= last
+                                     : cut.first == hull.first &&
+                                           cut.last == hull.last;
+      const bool unknown = cut.first == from && cut.last == to;
+      ASSERT_TRUE(exact || (unknown && cut.steps > budget))
+          << "round " << round << " query " << q << " budget " << budget;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The draws must reach every outcome the screen distinguishes.
+  EXPECT_GT(moved, rounds);        // earlier fits found before `stop`
+  EXPECT_GT(bounded_out, rounds);  // fits cut off by the last-start bound
+  EXPECT_GT(crossed, rounds);      // non-empty crossing hulls
+}
+
+TEST(ProfileDifferential, ScreenQueriesMatchOracleSeed31) {
+  run_screen_fuzz(31, 60);
+}
+TEST(ProfileDifferential, ScreenQueriesMatchOracleSeed32) {
+  run_screen_fuzz(32, 60);
 }
 
 }  // namespace
