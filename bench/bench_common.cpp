@@ -12,8 +12,8 @@
 #include "core/factory.h"
 #include "eval/journal.h"
 #include "metrics/streaming.h"
+#include "oracles/reference_profile.h"
 #include "sim/profile.h"
-#include "sim/reference_profile.h"
 #include "sim/streaming.h"
 #include "util/env.h"
 #include "util/rng.h"

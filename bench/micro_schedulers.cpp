@@ -18,8 +18,8 @@
 #include "core/smart.h"
 #include "fault/fault.h"
 #include "metrics/streaming.h"
+#include "oracles/reference_profile.h"
 #include "sim/profile.h"
-#include "sim/reference_profile.h"
 #include "sim/simulator.h"
 #include "sim/streaming.h"
 #include "util/rng.h"
@@ -417,10 +417,11 @@ BENCHMARK(BM_EasyDeepBacklog)->Arg(1024)->Arg(8192)->Complexity();
 
 // Zero-failure overhead guard for the fault subsystem: arg 0 simulates
 // with default options (null trace), arg 1 with a pointer to an *empty*
-// trace. Both must dispatch to the fault-free event loop, so the two
+// trace. The event core treats an empty trace as no trace, so the two
 // variants run identical work; CI asserts their times stay within 2% of
-// each other — if inactive fault options ever leak per-event work into
-// the hot loop (or route to the fault loop), the ratio blows up.
+// each other — if inactive fault options ever leak per-event work (fault
+// bookkeeping, stale-completion checks) into the hot loop, the ratio
+// blows up.
 void BM_SimulateZeroFailure(benchmark::State& state) {
   const auto& w = bench_workload();
   core::AlgorithmSpec spec;

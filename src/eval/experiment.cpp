@@ -140,6 +140,24 @@ std::uint64_t label_salt(const std::string& label) {
   return h;
 }
 
+/// The event-core options of one run. `token` is the run's deadline token,
+/// chained to the sweep-wide token (if any) so an external cancel and a
+/// local deadline both stop the run; it must outlive the run.
+sim::CoreOptions core_options(const ExperimentOptions& options,
+                              sim::CancelToken& token) {
+  sim::CoreOptions result;
+  result.measure_scheduler_cpu = options.measure_cpu;
+  result.faults = options.faults;
+  token.set_clock(options.clock);
+  if (options.run_deadline.count() != 0) {
+    token.set_deadline_after(options.run_deadline);
+  }
+  if (options.cancel != nullptr || options.run_deadline.count() != 0) {
+    result.cancel = &token;
+  }
+  return result;
+}
+
 }  // namespace
 
 }  // namespace detail
@@ -152,20 +170,11 @@ RunResult run_streamed(const sim::Machine& machine,
 
   auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)
                                              : core::make_scheduler(spec);
-  sim::StreamOptions stream_options;
-  stream_options.measure_scheduler_cpu = options.measure_cpu;
-  stream_options.faults = options.faults;
   sim::CancelToken token(options.cancel);
-  token.set_clock(options.clock);
-  if (options.run_deadline.count() != 0) {
-    token.set_deadline_after(options.run_deadline);
-  }
-  if (options.cancel != nullptr || options.run_deadline.count() != 0) {
-    stream_options.cancel = &token;
-  }
   metrics::StreamingAggregator aggregator(machine.nodes);
-  const sim::StreamStats stats = sim::simulate_stream(
-      machine, *scheduler, source, aggregator, stream_options);
+  const sim::StreamStats stats =
+      sim::simulate_stream(machine, *scheduler, source, aggregator,
+                           detail::core_options(options, token));
   const metrics::StreamedMetrics m = aggregator.finish();
 
   RunResult r;
@@ -194,28 +203,13 @@ RunResult run_streamed(const sim::Machine& machine,
 RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
                   const workload::Workload& workload,
                   const ExperimentOptions& options) {
-  if (options.streaming) {
-    workload::WorkloadSource source(workload);
-    return run_streamed(machine, spec, source, options);
-  }
   if (options.on_run) options.on_run(spec.display_name());
 
   auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)
                                              : core::make_scheduler(spec);
-  sim::SimOptions sim_options;
-  sim_options.validate = options.validate;
-  sim_options.measure_scheduler_cpu = options.measure_cpu;
-  sim_options.faults = options.faults;
-  // Per-run deadline token, chained to the sweep-wide token (if any) so an
-  // external cancel and a local deadline both stop this run.
   sim::CancelToken token(options.cancel);
-  token.set_clock(options.clock);
-  if (options.run_deadline.count() != 0) {
-    token.set_deadline_after(options.run_deadline);
-  }
-  if (options.cancel != nullptr || options.run_deadline.count() != 0) {
-    sim_options.cancel = &token;
-  }
+  sim::SimOptions sim_options{detail::core_options(options, token)};
+  sim_options.validate = options.validate;
   const sim::Schedule schedule =
       sim::simulate(machine, *scheduler, workload, sim_options);
 

@@ -73,13 +73,6 @@ struct FailureTrace {
 FailureTrace make_failure_trace(std::vector<FailureEvent> events,
                                 int machine_nodes);
 
-/// Available nodes at virtual time `t`: machine_nodes plus every delta at
-/// or before t. This is the wall-clock mapping helper of the serve daemon
-/// — a live run maps wall time to a virtual instant and needs the
-/// capacity in force *at* that instant (restart-from-journal resume
-/// points, progress reports) without replaying the event list by hand.
-int capacity_at(const FailureTrace& trace, Time t) noexcept;
-
 /// Replays an explicit event list — the test-facing injector. Thin wrapper
 /// over make_failure_trace that keeps the validated trace alive alongside
 /// the FaultOptions pointing at it.
@@ -95,8 +88,8 @@ class TraceInjector {
 };
 
 /// The fault axis of a simulation. Default-constructed (null trace) means
-/// "no faults": the simulator takes its original event loop and produces
-/// bit-identical schedules.
+/// "no faults": no job is killed, the event core keeps no fault state, and
+/// schedules are bit-identical to a build without fault support.
 struct FaultOptions {
   /// Not owned; must outlive the simulation. nullptr disables injection.
   const FailureTrace* trace = nullptr;

@@ -9,10 +9,9 @@
 // process an event early. speed = 0 is free-run: no pacing, the loop
 // processes events as fast as it can (replay verification, benches, CI).
 //
-// Bit-identity with the offline simulator: the decision loop replicates
-// sim::simulate_stream's fault-free event order exactly — at each event
-// time, completions, then arrivals, then start decisions, with the same
-// next_wakeup guard and the same (t, id)-ordered completion queue — and it
+// Bit-identity with the offline simulator: each decision round is one
+// step of the same sim::EventCore that simulate() and simulate_stream()
+// drive (event_core.h documents the per-instant order), and the daemon
 // refuses to process any event at t >= Feed::next_submit(), so equal-time
 // arrival batches reach the scheduler together just as a replayed trace
 // delivers them offline. Serving a trace through a JobSourceFeed therefore
@@ -31,11 +30,9 @@
 // shedding instead of letting the queue balloon against a smaller machine.
 //
 // Faults: options.faults replays a fault::FailureTrace on the daemon's
-// virtual timeline with exactly simulate_faulty's event order at each
-// instant — completions, fault batch (kills: latest start first, larger id
-// on ties), one on_capacity_change, arrivals, re-submissions, starts — so
-// a served trace under a trace injector stays bit-identical to
-// sim::simulate_stream with the same FaultOptions.
+// virtual timeline through the event core, so a served trace under a trace
+// injector stays bit-identical to sim::simulate_stream with the same
+// FaultOptions.
 //
 // Crash safety: options.journal points the loop at a write-ahead
 // AdmissionJournal (serve/journal.h). Every consumed feed record and every
@@ -110,10 +107,9 @@ struct ServeOptions {
   std::function<std::unique_ptr<sim::Scheduler>(const core::AlgorithmSpec&)>
       scheduler_factory;
 
-  /// Node-failure injection on the daemon's virtual timeline. Same
-  /// semantics and per-instant event order as sim::simulate_faulty; the
-  /// default (null trace) leaves the loop bit-identical to fault-free
-  /// serving. The trace must be built for `machine.nodes` nodes.
+  /// Node-failure injection on the daemon's virtual timeline, with the
+  /// semantics of sim::CoreOptions::faults. The trace must be built for
+  /// `machine.nodes` nodes.
   fault::FaultOptions faults{};
 
   /// Write-ahead admission journal (not owned; null = no journaling).
@@ -195,8 +191,8 @@ struct ServeReport {
 
 /// Run the daemon until the feed ends and all admitted work completes (or
 /// a drain/abort is requested). Throws std::invalid_argument on bad
-/// options and std::logic_error on scheduler contract violations, exactly
-/// like the offline simulator.
+/// options and std::logic_error on scheduler contract violations — the
+/// event core's own checks, so the messages match the offline simulator's.
 ServeReport serve(Feed& feed, const ServeOptions& options);
 
 }  // namespace jsched::serve

@@ -61,6 +61,9 @@ class Schedule {
   const JobRecord& operator[](JobId id) const noexcept { return records_[id]; }
   const std::vector<JobRecord>& records() const noexcept { return records_; }
 
+  /// Mutable record of job `id` (the simulator writes it in place).
+  JobRecord& record(JobId id) noexcept { return records_[id]; }
+
   void record_start(JobId id, Time submit, Time start, int nodes);
   void record_end(JobId id, Time end, bool cancelled);
 

@@ -1,10 +1,7 @@
 // Discrete-event simulator driving an on-line scheduler over a workload.
 #pragma once
 
-#include <cstdint>
-
-#include "fault/fault.h"
-#include "sim/cancel.h"
+#include "sim/event_core.h"
 #include "sim/machine.h"
 #include "sim/schedule.h"
 #include "sim/scheduler.h"
@@ -12,38 +9,21 @@
 
 namespace jsched::sim {
 
-struct SimOptions {
+/// CoreOptions (CPU measurement, fault injection, cancellation) plus what
+/// needs the materialized Schedule.
+struct SimOptions : CoreOptions {
   /// Validate the produced schedule before returning (cheap: O(n log n)).
   bool validate = true;
 
-  /// Measure CPU time spent in scheduler callbacks (Tables 7/8). Uses
-  /// thread CPU clock; adds two clock reads per callback.
-  bool measure_scheduler_cpu = false;
-
   /// Record the queue-length time series into Schedule::backlog.
   bool record_backlog = false;
-
-  /// Fault injection. Inactive (the default) takes the original event
-  /// loop: schedules are bit-identical to a build without fault support.
-  /// Active, the simulator replays faults.trace, kills running jobs when
-  /// a failure removes the nodes under them (victims: latest start first,
-  /// larger id on ties), applies faults.recovery to decide the lost work,
-  /// and re-submits the remainder at the kill instant. The trace must be
-  /// built for exactly machine.nodes nodes.
-  fault::FaultOptions faults{};
-
-  /// Cooperative cancellation (not owned; may be null). When set, the
-  /// token is polled once per event-loop iteration and an expired or
-  /// cancelled run aborts by throwing sim::CancelledError — within the
-  /// deadline plus one event-loop iteration, with no watchdog thread.
-  /// Null (the default) costs one untaken branch per iteration.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Run `scheduler` over `workload` on `machine`; returns the executed
 /// schedule. The scheduler is reset() first, so a scheduler instance can be
-/// reused across runs. Throws std::logic_error if the scheduler starts a
-/// job that does not fit or that it was never given.
+/// reused across runs. Each instant is processed by sim::EventCore, in the
+/// order event_core.h documents. Throws std::logic_error if the scheduler
+/// starts a job that does not fit or that it was never given.
 Schedule simulate(const Machine& machine, Scheduler& scheduler,
                   const workload::Workload& workload,
                   const SimOptions& options = {});

@@ -349,7 +349,7 @@ TEST(FaultSim, InactiveFaultOptionsMatchFaultFreeFingerprint) {
   for (const core::AlgorithmSpec& spec :
        core::paper_grid(core::WeightKind::kUnit)) {
     const std::uint64_t baseline = test::run_fingerprint(spec, w);
-    // Null trace and empty trace both take the fault-free event loop.
+    // An empty trace is no trace: no kills, no fault state.
     sim::Machine m;
     m.nodes = 16;
     auto scheduler = core::make_scheduler(spec);

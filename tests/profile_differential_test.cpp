@@ -8,7 +8,6 @@
 // breakpoints (dump()), same breakpoint count, same answers to every
 // query. Any divergence prints the op index and both renderings.
 #include "sim/profile.h"
-#include "sim/reference_profile.h"
 
 #include <gtest/gtest.h>
 
@@ -17,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/reference_profile.h"
 #include "util/rng.h"
 
 namespace jsched::sim {
