@@ -135,7 +135,7 @@ void write_scale_bench_json(const std::string& path, const ScaleRunResult& r);
 /// one entry per sweep point (failure intensity), each carrying the full
 /// grid's resilience metrics — ART, goodput fraction, availability, kills,
 /// wasted node-seconds and the schedule fingerprint. curve[i] must be the
-/// run_fault_sweep result for labels[i].
+/// results of the run_fault_sweep grid for labels[i].
 void write_fault_bench_json(
     const std::string& path, const BenchConfig& cfg,
     const std::vector<std::string>& labels,

@@ -6,12 +6,11 @@
 #include "eval/internal.h"
 #include "eval/journal.h"
 #include "eval/shard.h"
-#include "metrics/objectives.h"
-#include "metrics/resilience.h"
 #include "metrics/streaming.h"
 #include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "sim/streaming.h"
+#include "util/journal.h"
 #include "util/thread_pool.h"
 
 namespace jsched::eval {
@@ -29,21 +28,33 @@ void ShardSpec::validate() const {
 
 namespace detail {
 
-std::size_t resolved_threads(const ExperimentOptions& options) {
-  return options.threads == 0 ? util::ThreadPool::hardware_threads()
-                              : options.threads;
-}
-
-ExperimentOptions with_serialized_on_run(const ExperimentOptions& options,
-                                         std::mutex& mu) {
+std::vector<RunOutcome> run_cells(
+    std::size_t count, const ExperimentOptions& options,
+    const std::function<RunOutcome(std::size_t, const ExperimentOptions&)>&
+        cell) {
+  std::vector<RunOutcome> out(count);
+  const std::size_t threads = options.threads == 0
+                                  ? util::ThreadPool::hardware_threads()
+                                  : options.threads;
+  if (threads <= 1) {
+    for (std::size_t i = 0; i < count; ++i) out[i] = cell(i, options);
+    return out;
+  }
+  // Slot i of the output is written only by task i.
+  std::mutex on_run_mu;
   ExperimentOptions per_task = options;
   if (options.on_run) {
-    per_task.on_run = [&options, &mu](const std::string& name) {
-      std::lock_guard<std::mutex> lock(mu);
+    per_task.on_run = [&options, &on_run_mu](const std::string& name) {
+      std::lock_guard<std::mutex> lock(on_run_mu);
       options.on_run(name);
     };
   }
-  return per_task;
+  util::ThreadPool::ParallelOptions pool_options;
+  pool_options.stop_on_error = options.error_policy == ErrorPolicy::kFailFast;
+  util::parallel_for_each(
+      count, threads, [&](std::size_t i) { out[i] = cell(i, per_task); },
+      pool_options);
+  return out;
 }
 
 RunError classify_current_exception(const std::string& scheduler) {
@@ -116,30 +127,6 @@ RunOutcome run_cell_protected(const ExperimentOptions& options,
 
 namespace {
 
-/// Key for a grid cell; 0 when no journal is active (never looked up).
-std::uint64_t grid_cell_key(const ExperimentOptions& options,
-                            std::uint64_t workload_fnv, int machine_nodes,
-                            const core::AlgorithmSpec& spec) {
-  if (options.journal == nullptr) return 0;
-  return cell_key(workload_fnv, machine_nodes, spec, options.journal_salt);
-}
-
-/// Workload fingerprint, computed only when a journal needs it.
-std::uint64_t journal_workload_fnv(const ExperimentOptions& options,
-                                   const workload::Workload& workload) {
-  return options.journal == nullptr ? 0 : workload::fingerprint(workload);
-}
-
-/// FNV-1a over a string — salts fault-sweep points by label.
-std::uint64_t label_salt(const std::string& label) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : label) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// The event-core options of one run. `token` is the run's deadline token,
 /// chained to the sweep-wide token (if any) so an external cancel and a
 /// local deadline both stop the run; it must outlive the run.
@@ -158,24 +145,28 @@ sim::CoreOptions core_options(const ExperimentOptions& options,
   return result;
 }
 
-}  // namespace
+/// What a simulation reports besides its records.
+struct RunStats {
+  double scheduler_cpu_seconds = 0.0;
+  std::size_t max_queue_length = 0;
+};
 
-}  // namespace detail
-
-RunResult run_streamed(const sim::Machine& machine,
-                       const core::AlgorithmSpec& spec,
-                       workload::JobSource& source,
-                       const ExperimentOptions& options) {
+/// The steps run_one and run_streamed share. `simulate(scheduler, core,
+/// fold)` runs the simulation and hands `fold` every record in JobId
+/// order, then every killed attempt, then every capacity event; the
+/// RunResult is built from the folded metrics.
+template <typename Simulate>
+RunResult measure(const sim::Machine& machine, const core::AlgorithmSpec& spec,
+                  const ExperimentOptions& options, Simulate&& simulate) {
   if (options.on_run) options.on_run(spec.display_name());
 
   auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)
                                              : core::make_scheduler(spec);
   sim::CancelToken token(options.cancel);
-  metrics::StreamingAggregator aggregator(machine.nodes);
-  const sim::StreamStats stats =
-      sim::simulate_stream(machine, *scheduler, source, aggregator,
-                           detail::core_options(options, token));
-  const metrics::StreamedMetrics m = aggregator.finish();
+  metrics::StreamingAggregator fold(machine.nodes);
+  const RunStats stats =
+      simulate(*scheduler, core_options(options, token), fold);
+  const metrics::StreamedMetrics m = fold.finish();
 
   RunResult r;
   r.spec = spec;
@@ -200,58 +191,10 @@ RunResult run_streamed(const sim::Machine& machine,
   return r;
 }
 
-RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
-                  const workload::Workload& workload,
-                  const ExperimentOptions& options) {
-  if (options.on_run) options.on_run(spec.display_name());
-
-  auto scheduler = options.scheduler_factory ? options.scheduler_factory(spec)
-                                             : core::make_scheduler(spec);
-  sim::CancelToken token(options.cancel);
-  sim::SimOptions sim_options{detail::core_options(options, token)};
-  sim_options.validate = options.validate;
-  const sim::Schedule schedule =
-      sim::simulate(machine, *scheduler, workload, sim_options);
-
-  RunResult r;
-  r.spec = spec;
-  r.scheduler_name = scheduler->name();
-  r.jobs = workload.size();
-  r.art = metrics::average_response_time(schedule);
-  r.awrt = metrics::average_weighted_response_time(schedule);
-  r.wait = metrics::average_wait_time(schedule);
-  r.makespan = static_cast<double>(metrics::makespan(schedule));
-  r.utilization = metrics::utilization(schedule);
-  r.scheduler_cpu_seconds = schedule.scheduler_cpu_seconds;
-  r.max_queue_length = schedule.max_queue_length;
-  r.schedule_fnv = sim::schedule_fingerprint(schedule);
-  const metrics::ResilienceReport res = metrics::resilience(schedule, workload);
-  r.goodput_node_seconds = res.useful_node_seconds;
-  r.wasted_node_seconds = res.wasted_node_seconds;
-  r.goodput_fraction = res.goodput_fraction;
-  r.availability = res.availability;
-  r.availability_weighted_utilization = res.availability_weighted_utilization;
-  r.kills = res.kills;
-  r.jobs_hit = res.jobs_hit;
-  return r;
-}
-
-RunOutcome run_one_outcome(const sim::Machine& machine,
-                           const core::AlgorithmSpec& spec,
-                           const workload::Workload& workload,
-                           const ExperimentOptions& options) {
-  const std::uint64_t key = detail::grid_cell_key(
-      options, detail::journal_workload_fnv(options, workload), machine.nodes,
-      spec);
-  return detail::run_cell_protected(
-      options, key, spec,
-      [&] { return run_one(machine, spec, workload, options); });
-}
-
-GridResult run_grid_outcomes(const sim::Machine& machine,
-                             core::WeightKind weight,
-                             const workload::Workload& workload,
-                             const ExperimentOptions& options) {
+/// run_grid_outcomes with every journal key salted by `salt`.
+GridResult grid_outcomes(const sim::Machine& machine, core::WeightKind weight,
+                         const workload::Workload& workload,
+                         const ExperimentOptions& options, std::uint64_t salt) {
   options.shard.validate();
   const std::vector<core::AlgorithmSpec> specs = core::paper_grid(weight);
   // Cell keys serve two masters: journal checkpointing and the shard
@@ -259,13 +202,9 @@ GridResult run_grid_outcomes(const sim::Machine& machine,
   const bool keyed = options.journal != nullptr || options.shard.active();
   const std::uint64_t workload_fnv =
       keyed ? workload::fingerprint(workload) : 0;
-  std::vector<std::uint64_t> keys(specs.size(), 0);
-  if (keyed) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      keys[i] = cell_key(workload_fnv, machine.nodes, specs[i],
-                         options.journal_salt);
-    }
-  }
+  const std::vector<std::uint64_t> keys =
+      keyed ? grid_cell_keys(workload_fnv, machine.nodes, weight, salt)
+            : std::vector<std::uint64_t>(specs.size(), 0);
   // The shard assignment is a pure function of this grid's key set, so
   // every shard process derives the identical disjoint partition with no
   // coordination (see shard.h).
@@ -273,7 +212,6 @@ GridResult run_grid_outcomes(const sim::Machine& machine,
   if (options.shard.active()) {
     plan = std::make_unique<ShardPlan>(keys, options.shard.count);
   }
-  const std::size_t threads = detail::resolved_threads(options);
 
   GridResult out;
   if (options.journal != nullptr) {
@@ -284,36 +222,92 @@ GridResult run_grid_outcomes(const sim::Machine& machine,
     out.journal_note = options.journal->open_segment(
         sweep_fingerprint(workload_fnv, machine.nodes));
   }
-  out.cells.resize(specs.size());
-  const auto run_cell = [&](std::size_t i, const ExperimentOptions& opts) {
-    const core::AlgorithmSpec& spec = specs[i];
-    if (plan != nullptr && plan->shard_of(keys[i]) != opts.shard.index) {
-      out.cells[i] = RunOutcome::other_shard();
-      return;
-    }
-    out.cells[i] = detail::run_cell_protected(
-        opts, keys[i], spec,
-        [&] { return run_one(machine, spec, workload, opts); });
-  };
-
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) run_cell(i, options);
-    return out;
-  }
-  // Each task builds its own scheduler and simulates independently; slot i
-  // of the output is written only by task i, so results land in paper_grid
-  // order no matter which configuration finishes first. Under kFailFast a
-  // failing cell stops the pool from *starting* further cells (in-flight
-  // ones drain) before the exception is rethrown here.
-  std::mutex on_run_mu;
-  const ExperimentOptions per_task =
-      detail::with_serialized_on_run(options, on_run_mu);
-  util::ThreadPool::ParallelOptions pool_options;
-  pool_options.stop_on_error = options.error_policy == ErrorPolicy::kFailFast;
-  util::parallel_for_each(
-      specs.size(), threads, [&](std::size_t i) { run_cell(i, per_task); },
-      pool_options);
+  out.cells = detail::run_cells(
+      specs.size(), options,
+      [&](std::size_t i, const ExperimentOptions& opts) {
+        const core::AlgorithmSpec& spec = specs[i];
+        if (plan != nullptr && plan->shard_of(keys[i]) != opts.shard.index) {
+          return RunOutcome::other_shard();
+        }
+        return detail::run_cell_protected(
+            opts, keys[i], spec,
+            [&] { return run_one(machine, spec, workload, opts); });
+      });
   return out;
+}
+
+}  // namespace
+
+}  // namespace detail
+
+std::vector<RunResult> GridResult::results_or_throw(
+    const std::string& sweep) const {
+  // Only reachable under kIsolate / kRetryN: kFailFast already threw the
+  // original exception from inside the sweep.
+  if (!all_ok()) {
+    std::string msg = sweep + ": " + std::to_string(failed()) + " of " +
+                      std::to_string(cells.size()) + " cells failed:";
+    for (const RunError& e : failures()) msg += "\n  " + e.describe();
+    throw std::runtime_error(msg);
+  }
+  return results();
+}
+
+RunResult run_streamed(const sim::Machine& machine,
+                       const core::AlgorithmSpec& spec,
+                       workload::JobSource& source,
+                       const ExperimentOptions& options) {
+  return detail::measure(
+      machine, spec, options,
+      [&](sim::Scheduler& scheduler, const sim::CoreOptions& core,
+          metrics::StreamingAggregator& fold) {
+        const sim::StreamStats stats =
+            sim::simulate_stream(machine, scheduler, source, fold, core);
+        return detail::RunStats{stats.scheduler_cpu_seconds,
+                                stats.max_queue_length};
+      });
+}
+
+RunResult run_one(const sim::Machine& machine, const core::AlgorithmSpec& spec,
+                  const workload::Workload& workload,
+                  const ExperimentOptions& options) {
+  return detail::measure(
+      machine, spec, options,
+      [&](sim::Scheduler& scheduler, const sim::CoreOptions& core,
+          metrics::StreamingAggregator& fold) {
+        sim::SimOptions sim_options{core};
+        sim_options.validate = options.validate;
+        const sim::Schedule s =
+            sim::simulate(machine, scheduler, workload, sim_options);
+        for (JobId id = 0; id < s.size(); ++id) {
+          fold.on_record(id, s[id], workload.job(id));
+        }
+        for (const sim::AttemptRecord& a : s.attempts) fold.on_attempt(a);
+        for (const auto& [t, capacity] : s.capacity_events) {
+          fold.on_capacity_event(t, capacity);
+        }
+        return detail::RunStats{s.scheduler_cpu_seconds, s.max_queue_length};
+      });
+}
+
+RunOutcome run_one_outcome(const sim::Machine& machine,
+                           const core::AlgorithmSpec& spec,
+                           const workload::Workload& workload,
+                           const ExperimentOptions& options) {
+  const std::uint64_t key =
+      options.journal == nullptr
+          ? 0
+          : cell_key(workload::fingerprint(workload), machine.nodes, spec, 0);
+  return detail::run_cell_protected(
+      options, key, spec,
+      [&] { return run_one(machine, spec, workload, options); });
+}
+
+GridResult run_grid_outcomes(const sim::Machine& machine,
+                             core::WeightKind weight,
+                             const workload::Workload& workload,
+                             const ExperimentOptions& options) {
+  return detail::grid_outcomes(machine, weight, workload, options, 0);
 }
 
 std::vector<RunResult> run_grid(const sim::Machine& machine,
@@ -325,22 +319,11 @@ std::vector<RunResult> run_grid(const sim::Machine& machine,
         "run_grid: a sharded sweep produces a partial grid; use "
         "run_grid_outcomes and merge the shard journals");
   }
-  GridResult grid = run_grid_outcomes(machine, weight, workload, options);
-  // Only reachable under kIsolate / kRetryN: kFailFast already threw the
-  // original exception from inside the sweep.
-  if (!grid.all_ok()) {
-    std::string msg = "run_grid: " + std::to_string(grid.failed()) + " of " +
-                      std::to_string(grid.cells.size()) + " cells failed:";
-    for (const RunError& e : grid.failures()) {
-      msg += "\n  " + e.describe();
-    }
-    msg += "\nuse run_grid_outcomes to receive partial results";
-    throw std::runtime_error(msg);
-  }
-  return grid.results();
+  return run_grid_outcomes(machine, weight, workload, options)
+      .results_or_throw("run_grid");
 }
 
-std::vector<GridResult> run_fault_sweep_outcomes(
+std::vector<GridResult> run_fault_sweep(
     const sim::Machine& machine, core::WeightKind weight,
     const workload::Workload& workload,
     const std::vector<FaultSweepPoint>& points,
@@ -350,34 +333,10 @@ std::vector<GridResult> run_fault_sweep_outcomes(
   for (const FaultSweepPoint& point : points) {
     ExperimentOptions per_point = options;
     per_point.faults = point.faults;
-    // Salt the journal key per point: the same grid cell under different
-    // fault intensities is different work.
-    per_point.journal_salt =
-        options.journal_salt ^ detail::label_salt(point.label);
-    out.push_back(run_grid_outcomes(machine, weight, workload, per_point));
-  }
-  return out;
-}
-
-std::vector<std::vector<RunResult>> run_fault_sweep(
-    const sim::Machine& machine, core::WeightKind weight,
-    const workload::Workload& workload,
-    const std::vector<FaultSweepPoint>& points,
-    const ExperimentOptions& options) {
-  std::vector<std::vector<RunResult>> out;
-  out.reserve(points.size());
-  const std::vector<GridResult> grids =
-      run_fault_sweep_outcomes(machine, weight, workload, points, options);
-  for (std::size_t p = 0; p < grids.size(); ++p) {
-    if (!grids[p].all_ok()) {
-      std::string msg = "run_fault_sweep: point '" + points[p].label + "': " +
-                        std::to_string(grids[p].failed()) + " cells failed:";
-      for (const RunError& e : grids[p].failures()) {
-        msg += "\n  " + e.describe();
-      }
-      throw std::runtime_error(msg);
-    }
-    out.push_back(grids[p].results());
+    // The same grid cell under different fault intensities is different
+    // work, so each point's keys are salted with the FNV-1a of its label.
+    out.push_back(detail::grid_outcomes(machine, weight, workload, per_point,
+                                        util::fnv1a(point.label)));
   }
   return out;
 }

@@ -1,13 +1,13 @@
 // The evaluation harness: run the paper's algorithm grid over a workload
 // and collect every metric the tables and figures report.
 //
-// Fault tolerance: every sweep entry point exists in two forms. The
-// classic form (run_grid, run_fault_sweep) returns plain results and
-// throws on failure; the *_outcomes form returns RunOutcome cells that
-// carry either a RunResult or a structured RunError, with the behavior on
-// failure selected by ExperimentOptions::error_policy. Under the default
-// kFailFast policy the harness catches nothing, so existing callers see
-// byte-identical behavior.
+// Every sweep returns outcomes: run_grid_outcomes and run_fault_sweep give
+// one GridResult per grid, whose RunOutcome cells carry either a RunResult
+// or a structured RunError, with the behavior on failure selected by
+// ExperimentOptions::error_policy. GridResult::results_or_throw is the one
+// throwing accessor; run_grid is run_grid_outcomes plus that accessor.
+// Under the default kFailFast policy the harness catches nothing, so the
+// first failing cell propagates its original exception.
 #pragma once
 
 #include <chrono>
@@ -158,10 +158,13 @@ struct GridResult {
   std::vector<RunError> failures() const {
     std::vector<RunError> out;
     for (const RunOutcome& c : cells) {
-      if (!c.ok) out.push_back(c.error);
+      if (!c.ok && !c.skipped) out.push_back(c.error);
     }
     return out;
   }
+  /// results() of a grid whose every cell succeeded. Otherwise throws
+  /// std::runtime_error naming `sweep` and describing each failed cell.
+  std::vector<RunResult> results_or_throw(const std::string& sweep) const;
 };
 
 struct ExperimentOptions {
@@ -210,10 +213,6 @@ struct ExperimentOptions {
   /// their stored RunResult returned with attempts == 0. Works under every
   /// error policy.
   SweepJournal* journal = nullptr;
-  /// Mixed into every journal cell key; lets one journal file hold several
-  /// sweeps over the same workload (e.g. fault-sweep points) without
-  /// collisions.
-  std::uint64_t journal_salt = 0;
   /// This process's shard of a partitioned sweep (see shard.h). With
   /// count > 1, run_grid_outcomes attempts only the cells the deterministic
   /// key partition assigns to `index` and marks the rest skipped; a merge
@@ -260,25 +259,26 @@ RunOutcome run_one_outcome(const sim::Machine& machine,
                            const workload::Workload& workload,
                            const ExperimentOptions& options = {});
 
-/// Simulate the paper's full grid (13 configurations) for one objective.
-/// Runs configurations on `options.threads` workers; the returned vector
-/// is always in paper_grid order and identical for any thread count.
-/// Under kIsolate / kRetryN a sweep with failed cells throws
-/// std::runtime_error summarizing them — use run_grid_outcomes to receive
-/// partial results instead. Throws std::invalid_argument when
-/// options.shard is active (a shard is a partial grid by construction).
-std::vector<RunResult> run_grid(const sim::Machine& machine,
-                                core::WeightKind weight,
-                                const workload::Workload& workload,
-                                const ExperimentOptions& options = {});
-
-/// run_grid with per-cell outcomes. Under kFailFast the first cell failure
-/// propagates as its original exception; under kIsolate / kRetryN every
-/// healthy cell completes and failed cells carry their RunError.
+/// Simulate the paper's full grid (13 configurations) for one objective,
+/// one outcome per cell in paper_grid order. Runs configurations on
+/// `options.threads` workers; the result is identical for any thread
+/// count. Under kFailFast the first cell failure propagates as its
+/// original exception; under kIsolate / kRetryN every healthy cell
+/// completes and failed cells carry their RunError. Cells are journaled
+/// under grid_cell_keys (shard.h).
 GridResult run_grid_outcomes(const sim::Machine& machine,
                              core::WeightKind weight,
                              const workload::Workload& workload,
                              const ExperimentOptions& options = {});
+
+/// run_grid_outcomes(...).results_or_throw("run_grid"): the grid's results
+/// in paper_grid order, or std::runtime_error summarizing the failed cells.
+/// Throws std::invalid_argument when options.shard is active (a shard is a
+/// partial grid by construction).
+std::vector<RunResult> run_grid(const sim::Machine& machine,
+                                core::WeightKind weight,
+                                const workload::Workload& workload,
+                                const ExperimentOptions& options = {});
 
 /// Find the grid entry with the given order/dispatch; throws
 /// std::out_of_range naming the missing pair if absent.
@@ -292,20 +292,13 @@ struct FaultSweepPoint {
   fault::FaultOptions faults;
 };
 
-/// Run the full grid once per sweep point (each via run_grid, so
+/// Run the full grid once per sweep point (each as run_grid_outcomes, so
 /// `options.threads` parallelizes within a point); result [i] belongs to
 /// points[i]. Any faults already present in `options` are replaced by each
-/// point's. Degradation curves (goodput, ART inflation, ...) read
-/// straight off the per-point RunResult vectors.
-std::vector<std::vector<RunResult>> run_fault_sweep(
-    const sim::Machine& machine, core::WeightKind weight,
-    const workload::Workload& workload,
-    const std::vector<FaultSweepPoint>& points,
-    const ExperimentOptions& options = {});
-
-/// run_fault_sweep with per-cell outcomes; each point's journal cells are
-/// salted with the point's label so one journal can hold the whole sweep.
-std::vector<GridResult> run_fault_sweep_outcomes(
+/// point's. Each point's journal cells are salted with the point's label,
+/// so one journal can hold the whole sweep. Degradation curves (goodput,
+/// ART inflation, ...) read straight off the per-point results.
+std::vector<GridResult> run_fault_sweep(
     const sim::Machine& machine, core::WeightKind weight,
     const workload::Workload& workload,
     const std::vector<FaultSweepPoint>& points,

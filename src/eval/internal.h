@@ -4,22 +4,26 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "eval/experiment.h"
 
 namespace jsched::eval::detail {
 
-/// options.threads with 0 resolved to the hardware thread count.
-std::size_t resolved_threads(const ExperimentOptions& options);
-
-/// Copy of `options` whose on_run (if any) is wrapped in `mu` so worker
-/// threads never interleave progress output. `options` and `mu` must
-/// outlive the copy.
-ExperimentOptions with_serialized_on_run(const ExperimentOptions& options,
-                                         std::mutex& mu);
+/// Runs the cells of every sweep: cells 0..count-1 on
+/// options.threads workers (0 = one per hardware thread) and returns
+/// their outcomes in index order, whatever the completion order.
+/// `cell(i, opts)` runs cell i; with more than one worker, `opts` is
+/// `options` with on_run serialized by a mutex so progress output never
+/// interleaves. Under kFailFast a failing cell stops the pool from
+/// starting further cells (in-flight ones drain) before its exception is
+/// rethrown here.
+std::vector<RunOutcome> run_cells(
+    std::size_t count, const ExperimentOptions& options,
+    const std::function<RunOutcome(std::size_t, const ExperimentOptions&)>&
+        cell);
 
 /// Re-thrown wrapper that pins an exception to a specific RunErrorKind —
 /// used where the phase cannot be told from the exception type alone

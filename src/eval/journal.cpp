@@ -37,6 +37,19 @@ double parse_hex_double(const std::string& token, std::size_t line_no) {
   return std::bit_cast<double>(parse_hex64(token, line_no));
 }
 
+// The count and metric fields of a record, in record order (between the
+// spec and the schedule fingerprint); record() and the loader both walk
+// these lists.
+constexpr std::size_t RunResult::*kCountFields[] = {
+    &RunResult::jobs, &RunResult::max_queue_length, &RunResult::kills,
+    &RunResult::jobs_hit};
+constexpr double RunResult::*kMetricFields[] = {
+    &RunResult::art, &RunResult::awrt, &RunResult::wait, &RunResult::makespan,
+    &RunResult::utilization, &RunResult::scheduler_cpu_seconds,
+    &RunResult::goodput_node_seconds, &RunResult::wasted_node_seconds,
+    &RunResult::goodput_fraction, &RunResult::availability,
+    &RunResult::availability_weighted_utilization};
+
 }  // namespace
 
 std::uint64_t cell_key(std::uint64_t workload_fnv, int machine_nodes,
@@ -134,21 +147,10 @@ SweepJournal::SweepJournal(std::string path) : log_(std::move(path)) {
     r.spec.order = static_cast<core::OrderKind>(next_int(0, 3));
     r.spec.dispatch = static_cast<core::DispatchKind>(next_int(0, 3));
     r.spec.weight = static_cast<core::WeightKind>(next_int(0, 1));
-    r.jobs = next_size();
-    r.max_queue_length = next_size();
-    r.kills = next_size();
-    r.jobs_hit = next_size();
-    r.art = parse_hex_double(next(), line_no);
-    r.awrt = parse_hex_double(next(), line_no);
-    r.wait = parse_hex_double(next(), line_no);
-    r.makespan = parse_hex_double(next(), line_no);
-    r.utilization = parse_hex_double(next(), line_no);
-    r.scheduler_cpu_seconds = parse_hex_double(next(), line_no);
-    r.goodput_node_seconds = parse_hex_double(next(), line_no);
-    r.wasted_node_seconds = parse_hex_double(next(), line_no);
-    r.goodput_fraction = parse_hex_double(next(), line_no);
-    r.availability = parse_hex_double(next(), line_no);
-    r.availability_weighted_utilization = parse_hex_double(next(), line_no);
+    for (std::size_t RunResult::*field : kCountFields) r.*field = next_size();
+    for (double RunResult::*field : kMetricFields) {
+      r.*field = parse_hex_double(next(), line_no);
+    }
     r.schedule_fnv = parse_hex64(next(), line_no);
     std::string name;
     std::getline(in, name);
@@ -218,16 +220,12 @@ void SweepJournal::record(std::uint64_t key, const RunResult& r) {
   std::ostringstream os;
   os << hex64(key) << ' ' << static_cast<int>(r.spec.order) << ' '
      << static_cast<int>(r.spec.dispatch) << ' '
-     << static_cast<int>(r.spec.weight) << ' ' << r.jobs << ' '
-     << r.max_queue_length << ' ' << r.kills << ' ' << r.jobs_hit << ' '
-     << hex_double(r.art) << ' ' << hex_double(r.awrt) << ' '
-     << hex_double(r.wait) << ' ' << hex_double(r.makespan) << ' '
-     << hex_double(r.utilization) << ' ' << hex_double(r.scheduler_cpu_seconds)
-     << ' ' << hex_double(r.goodput_node_seconds) << ' '
-     << hex_double(r.wasted_node_seconds) << ' '
-     << hex_double(r.goodput_fraction) << ' ' << hex_double(r.availability)
-     << ' ' << hex_double(r.availability_weighted_utilization) << ' '
-     << hex64(r.schedule_fnv) << ' ' << r.scheduler_name;
+     << static_cast<int>(r.spec.weight);
+  for (std::size_t RunResult::*field : kCountFields) os << ' ' << r.*field;
+  for (double RunResult::*field : kMetricFields) {
+    os << ' ' << hex_double(r.*field);
+  }
+  os << ' ' << hex64(r.schedule_fnv) << ' ' << r.scheduler_name;
   {
     std::lock_guard<std::mutex> lock(mu_);
     cells_[key] = {segment_, r};

@@ -9,7 +9,6 @@
 #include "eval/internal.h"
 #include "eval/journal.h"
 #include "eval/shard.h"
-#include "util/thread_pool.h"
 
 namespace jsched::eval {
 
@@ -22,17 +21,11 @@ namespace {
 /// workload model and the replicate statistics would be meaningless.
 constexpr double kMaxJobCountSpread = 1.05;
 
-/// Journal key of one replicate. The workload fingerprint is deliberately
-/// absent — on resume the whole point is to skip regenerating the
-/// workload — so the seed (which determines the workload) stands in for
-/// it.
-std::uint64_t replicate_key(const ExperimentOptions& options, int machine_nodes,
-                            const core::AlgorithmSpec& spec,
-                            std::uint64_t seed) {
-  if (options.journal == nullptr) return 0;
-  return cell_key(seed, machine_nodes, spec,
-                  options.journal_salt ^ 0x9e3779b97f4a7c15ull);
-}
+/// Salt of every replicate's journal key. The workload fingerprint is
+/// deliberately absent from the key — on resume the whole point is to skip
+/// regenerating the workload — so the seed (which determines the workload)
+/// stands in for it, and the salt keeps replicates apart from grid cells.
+constexpr std::uint64_t kReplicateSalt = 0x9e3779b97f4a7c15ull;
 
 /// Fold per-seed results into the replicate aggregate in seed order — the
 /// same add() sequence as a serial loop, so parallel and serial runs
@@ -86,14 +79,13 @@ ReplicatedResult run_replicated(
   if (seeds.empty()) {
     throw std::invalid_argument("run_replicated: no seeds");
   }
-  const std::size_t threads = detail::resolved_threads(options);
   // Under kFailFast a make_workload failure must propagate untouched; when
   // the harness is catching, tag it so it classifies as kWorkload instead
   // of whatever generic type the generator threw.
   const bool tag_phases = options.error_policy != ErrorPolicy::kFailFast;
   const auto run_seed = [&](std::size_t i, const ExperimentOptions& opts) {
     const std::uint64_t key =
-        replicate_key(opts, machine.nodes, spec, seeds[i]);
+        cell_key(seeds[i], machine.nodes, spec, kReplicateSalt);
     return detail::run_cell_protected(opts, key, spec, [&] {
       const auto materialize = [&]() -> workload::Workload {
         if (!tag_phases) return make_workload(seeds[i]);
@@ -118,24 +110,8 @@ ReplicatedResult run_replicated(
     });
   };
 
-  std::vector<RunOutcome> outcomes(seeds.size());
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      outcomes[i] = run_seed(i, options);
-    }
-  } else {
-    std::mutex on_run_mu;
-    const ExperimentOptions per_task =
-        detail::with_serialized_on_run(options, on_run_mu);
-    util::ThreadPool::ParallelOptions pool_options;
-    pool_options.stop_on_error =
-        options.error_policy == ErrorPolicy::kFailFast;
-    util::parallel_for_each(
-        seeds.size(), threads,
-        [&](std::size_t i) { outcomes[i] = run_seed(i, per_task); },
-        pool_options);
-  }
-  return aggregate(spec, seeds, std::move(outcomes));
+  return aggregate(spec, seeds,
+                   detail::run_cells(seeds.size(), options, run_seed));
 }
 
 bool robustly_better_art(const ReplicatedResult& a, const ReplicatedResult& b,

@@ -61,9 +61,10 @@ class ShardPlan {
 };
 
 /// Cell keys of the full paper grid for one objective, in paper_grid
-/// (enumeration == serial execution) order. These are the exact keys
-/// run_grid_outcomes journals under, so a driver can pre-compute the
-/// expected cell set of a sweep it has not run yet.
+/// (enumeration == serial execution) order. run_grid_outcomes journals and
+/// shards under these keys with salt 0 (run_fault_sweep salts each point
+/// by its label), so a coordinator can pre-compute the expected cell set
+/// of a sweep it has not run yet.
 std::vector<std::uint64_t> grid_cell_keys(std::uint64_t workload_fnv,
                                           int machine_nodes,
                                           core::WeightKind weight,

@@ -34,14 +34,37 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-bool to_i64(const std::string& s, std::int64_t& out) {
+/// Parse a decimal integer in [lo, hi].
+bool to_i64(const std::string& s, std::int64_t lo, std::int64_t hi,
+            std::int64_t& out) {
   if (s.empty()) return false;
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (errno != 0 || end != s.c_str() + s.size() || v < lo || v > hi) {
+    return false;
+  }
   out = v;
   return true;
+}
+
+enum class ReadState { kOpen, kEof, kError };
+
+/// Append everything `fd` has to offer right now to `buffer`, without
+/// blocking. kError leaves the failing read's errno in place.
+ReadState read_available(int fd, std::string& buffer) {
+  char buf[16384];
+  while (true) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      buffer.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n == 0) return ReadState::kEof;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadState::kOpen;
+    return ReadState::kError;
+  }
 }
 
 ParseResult fail(std::string* error, const std::string& why) {
@@ -67,7 +90,7 @@ ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
   std::size_t k = 0;
   if (tokens[0][0] == '@') {
     std::int64_t submit = 0;
-    if (!to_i64(tokens[0].substr(1), submit) || submit < 0) {
+    if (!to_i64(tokens[0].substr(1), 0, kMaxTimeField, submit)) {
       return fail(error, "bad @submit field: " + tokens[0]);
     }
     r.submit = submit;
@@ -78,16 +101,17 @@ ParseResult parse_submit_line(const std::string& line, SubmitRecord& out,
                 "expected [@submit] nodes runtime estimate [user]: " + body);
   }
   std::int64_t nodes = 0, runtime = 0, estimate = 0, user = 0;
-  if (!to_i64(tokens[k], nodes) || nodes < 1) {
+  if (!to_i64(tokens[k], 1, kMaxIntField, nodes)) {
     return fail(error, "bad nodes field: " + tokens[k]);
   }
-  if (!to_i64(tokens[k + 1], runtime) || runtime < 1) {
+  if (!to_i64(tokens[k + 1], 1, kMaxTimeField, runtime)) {
     return fail(error, "bad runtime field: " + tokens[k + 1]);
   }
-  if (!to_i64(tokens[k + 2], estimate) || estimate < 1) {
+  if (!to_i64(tokens[k + 2], 1, kMaxTimeField, estimate)) {
     return fail(error, "bad estimate field: " + tokens[k + 2]);
   }
-  if (tokens.size() - k == 4 && !to_i64(tokens[k + 3], user)) {
+  if (tokens.size() - k == 4 &&
+      !to_i64(tokens[k + 3], -kMaxIntField, kMaxIntField, user)) {
     return fail(error, "bad user field: " + tokens[k + 3]);
   }
   r.nodes = static_cast<int>(nodes);
@@ -151,55 +175,17 @@ Time JobSourceFeed::next_submit() const {
   return has_pending_ ? pending_.submit : kTimeInfinity;
 }
 
-// ---------------------------------------------------------------- FdLineFeed
+// ---------------------------------------------------------------- LineReader
 
-FdLineFeed::FdLineFeed(int fd, bool tail, bool close_fd)
-    : fd_(fd), tail_(tail), close_fd_(close_fd) {
-  const int flags = fcntl(fd_, F_GETFL, 0);
-  if (flags >= 0) fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-}
-
-FdLineFeed::~FdLineFeed() {
-  if (close_fd_ && fd_ >= 0) ::close(fd_);
-}
-
-void FdLineFeed::drain_fd() {
-  if (eof_ || ended_) return;
-  char buf[16384];
-  while (true) {
-    const ssize_t n = ::read(fd_, buf, sizeof(buf));
-    if (n > 0) {
-      partial_.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      // In tail mode EOF just means "caught up" — keep watching.
-      if (!tail_) terminate_feed();
-      return;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // no data right now
-    // Hard error (EBADF, EIO, ...): this fd will never produce data again;
-    // end the feed (even in tail mode) so the daemon doesn't poll forever.
-    std::fprintf(stderr, "feed: read: %s\n", std::strerror(errno));
-    terminate_feed();
-    return;
+void LineReader::consume(std::string& buffer, bool closed) {
+  if (closed && !buffer.empty() && buffer.back() != '\n') {
+    buffer.push_back('\n');
   }
-}
-
-void FdLineFeed::terminate_feed() {
-  eof_ = true;
-  // A final line without a trailing newline is still a line: terminate it
-  // so parse_buffered delivers it instead of dropping it silently.
-  if (!partial_.empty() && partial_.back() != '\n') partial_.push_back('\n');
-}
-
-void FdLineFeed::parse_buffered() {
   std::size_t start = 0;
   while (true) {
-    const std::size_t nl = partial_.find('\n', start);
+    const std::size_t nl = buffer.find('\n', start);
     if (nl == std::string::npos) break;
-    const std::string line = partial_.substr(start, nl - start);
+    const std::string line = buffer.substr(start, nl - start);
     start = nl + 1;
     if (ended_) continue;  // protocol over; drop trailing lines
     SubmitRecord r;
@@ -219,28 +205,65 @@ void FdLineFeed::parse_buffered() {
         break;
     }
   }
-  partial_.erase(0, start);
+  buffer.erase(0, start);
 }
 
-bool FdLineFeed::poll(Time vnow, std::vector<SubmitRecord>& out) {
-  drain_fd();
-  parse_buffered();
+bool LineReader::poll(Time vnow, std::vector<SubmitRecord>& out,
+                      bool exhausted) {
   while (!parsed_.empty()) {
     const SubmitRecord& front = parsed_.front();
     if (front.submit >= 0 && front.submit > vnow) break;
     out.push_back(front);
     parsed_.pop_front();
   }
-  if (parsed_.empty() && (ended_ || eof_)) return false;
-  return true;
+  return !(parsed_.empty() && (ended_ || exhausted));
 }
 
-Time FdLineFeed::next_submit() const {
+Time LineReader::next_submit() const {
   if (!parsed_.empty() && parsed_.front().submit >= 0) {
     return parsed_.front().submit;
   }
   return kTimeInfinity;
 }
+
+// ---------------------------------------------------------------- FdLineFeed
+
+FdLineFeed::FdLineFeed(int fd, bool tail, bool close_fd)
+    : fd_(fd), tail_(tail), close_fd_(close_fd) {
+  const int flags = fcntl(fd_, F_GETFL, 0);
+  if (flags >= 0) fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
+}
+
+FdLineFeed::~FdLineFeed() {
+  if (close_fd_ && fd_ >= 0) ::close(fd_);
+}
+
+void FdLineFeed::drain_fd() {
+  if (eof_ || reader_.ended()) return;
+  switch (read_available(fd_, partial_)) {
+    case ReadState::kOpen:  // no data right now
+      return;
+    case ReadState::kEof:
+      // In tail mode EOF just means "caught up" — keep watching.
+      eof_ = !tail_;
+      return;
+    case ReadState::kError:
+      // Hard error (EBADF, EIO, ...): this fd will never produce data
+      // again; end the feed (even in tail mode) so the daemon doesn't poll
+      // forever.
+      std::fprintf(stderr, "feed: read: %s\n", std::strerror(errno));
+      eof_ = true;
+      return;
+  }
+}
+
+bool FdLineFeed::poll(Time vnow, std::vector<SubmitRecord>& out) {
+  drain_fd();
+  reader_.consume(partial_, eof_);
+  return reader_.poll(vnow, out, eof_);
+}
+
+Time FdLineFeed::next_submit() const { return reader_.next_submit(); }
 
 // ------------------------------------------------------------------- TcpFeed
 
@@ -327,53 +350,10 @@ void TcpFeed::accept_clients() {
 void TcpFeed::drain_clients() {
   for (std::size_t i = 0; i < clients_.size();) {
     Client& c = clients_[i];
-    char buf[16384];
-    bool closed = false;
-    while (true) {
-      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
-      if (n > 0) {
-        c.partial.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n == 0) {
-        closed = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      closed = true;  // hard error: treat as a hangup
-      break;
-    }
+    // A hard read error is treated as a hangup.
+    const bool closed = read_available(c.fd, c.partial) != ReadState::kOpen;
     // A closing client's final line counts even without a trailing newline.
-    if (closed && !c.partial.empty() && c.partial.back() != '\n') {
-      c.partial.push_back('\n');
-    }
-    // Parse complete lines from this client's buffer.
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t nl = c.partial.find('\n', start);
-      if (nl == std::string::npos) break;
-      const std::string line = c.partial.substr(start, nl - start);
-      start = nl + 1;
-      if (ended_) continue;
-      SubmitRecord r;
-      std::string err;
-      switch (parse_submit_line(line, r, &err)) {
-        case ParseResult::kRecord:
-          parsed_.push_back(r);
-          break;
-        case ParseResult::kEnd:
-          ended_ = true;
-          break;
-        case ParseResult::kError:
-          ++parse_errors_;
-          std::fprintf(stderr, "feed: %s\n", err.c_str());
-          break;
-        case ParseResult::kSkip:
-          break;
-      }
-    }
-    c.partial.erase(0, start);
+    reader_.consume(c.partial, closed);
     if (closed) {
       ::close(c.fd);
       clients_.erase(clients_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -384,25 +364,14 @@ void TcpFeed::drain_clients() {
 }
 
 bool TcpFeed::poll(Time vnow, std::vector<SubmitRecord>& out) {
-  if (!ended_) {
+  if (!reader_.ended()) {
     accept_clients();
     drain_clients();
   }
-  while (!parsed_.empty()) {
-    const SubmitRecord& front = parsed_.front();
-    if (front.submit >= 0 && front.submit > vnow) break;
-    out.push_back(front);
-    parsed_.pop_front();
-  }
-  return !(ended_ && parsed_.empty());
+  return reader_.poll(vnow, out, /*exhausted=*/false);
 }
 
-Time TcpFeed::next_submit() const {
-  if (!parsed_.empty() && parsed_.front().submit >= 0) {
-    return parsed_.front().submit;
-  }
-  return kTimeInfinity;
-}
+Time TcpFeed::next_submit() const { return reader_.next_submit(); }
 
 // ----------------------------------------------------------- TcpSubmitClient
 

@@ -110,6 +110,38 @@ class JobSourceFeed final : public Feed {
   bool has_pending_ = false;
 };
 
+/// The line protocol's reader, shared by the byte-stream transports
+/// (FdLineFeed, TcpFeed): it splits received bytes into lines, parses
+/// them, counts and logs malformed ones and drops every line after `end`.
+/// Records wait in arrival order until poll() delivers them.
+class LineReader {
+ public:
+  /// Parse every complete line of `buffer` and erase it, leaving a partial
+  /// final line in place. With `closed` (the sender will add no more bytes
+  /// to this buffer) an unterminated final line counts as a line.
+  void consume(std::string& buffer, bool closed);
+
+  /// Feed::poll over the buffered records: appends those due at `vnow`
+  /// (live records always are, but never ahead of an earlier timed one).
+  /// Returns false once nothing is buffered and either `end` was read or
+  /// the transport is `exhausted`.
+  bool poll(Time vnow, std::vector<SubmitRecord>& out, bool exhausted);
+
+  /// Feed::next_submit: the submit time of the next buffered record when
+  /// it is timed, else kTimeInfinity.
+  Time next_submit() const;
+
+  /// True once an `end` line was read.
+  bool ended() const noexcept { return ended_; }
+  /// Malformed lines seen so far (each also logged to stderr).
+  std::size_t parse_errors() const noexcept { return parse_errors_; }
+
+ private:
+  std::deque<SubmitRecord> parsed_;
+  bool ended_ = false;
+  std::size_t parse_errors_ = 0;
+};
+
 /// Line-protocol feed over a file descriptor (stdin, a pipe, or a tailed
 /// file). Reads are non-blocking; partial lines are buffered across polls.
 /// In tail mode EOF does not end the feed (more data may be appended —
@@ -126,21 +158,17 @@ class FdLineFeed final : public Feed {
   Time next_submit() const override;
 
   /// Malformed lines seen so far (each also logged to stderr).
-  std::size_t parse_errors() const noexcept { return parse_errors_; }
+  std::size_t parse_errors() const noexcept { return reader_.parse_errors(); }
 
  private:
   void drain_fd();
-  void terminate_feed();
-  void parse_buffered();
 
   int fd_;
   bool tail_;
   bool close_fd_;
   bool eof_ = false;
-  bool ended_ = false;
   std::string partial_;
-  std::deque<SubmitRecord> parsed_;
-  std::size_t parse_errors_ = 0;
+  LineReader reader_;
 };
 
 /// Localhost TCP feed: listens on 127.0.0.1:`port` (0 = ephemeral; see
@@ -167,7 +195,7 @@ class TcpFeed final : public Feed {
 
   /// The bound port (useful with port 0).
   std::uint16_t port() const noexcept { return port_; }
-  std::size_t parse_errors() const noexcept { return parse_errors_; }
+  std::size_t parse_errors() const noexcept { return reader_.parse_errors(); }
   /// Transient accept() failures survived so far.
   std::size_t transient_accept_errors() const noexcept {
     return transient_accept_errors_;
@@ -185,9 +213,7 @@ class TcpFeed final : public Feed {
   int listen_fd_;
   std::uint16_t port_;
   std::vector<Client> clients_;
-  bool ended_ = false;
-  std::deque<SubmitRecord> parsed_;
-  std::size_t parse_errors_ = 0;
+  LineReader reader_;
   std::size_t transient_accept_errors_ = 0;
   std::chrono::milliseconds accept_backoff_{0};
   std::chrono::steady_clock::time_point accept_retry_at_{};

@@ -14,6 +14,14 @@ using JobId = std::uint32_t;
 
 inline constexpr JobId kInvalidJob = static_cast<JobId>(-1);
 
+/// Bounds the SWF and feed-protocol readers check a parsed field against
+/// before narrowing it to the model types (beyond them a cast is undefined
+/// or a later sum overflows). Times and durations are seconds — 1e15 s is
+/// ~30 million years, far beyond any archive; processor counts, users and
+/// ids fit int32.
+inline constexpr std::int64_t kMaxTimeField = 1'000'000'000'000'000;
+inline constexpr std::int64_t kMaxIntField = 2'000'000'000;
+
 /// Outcome of the job in the originating trace (SWF field 11). Synthetic
 /// workloads and traces without the field report kCompleted. Purely
 /// descriptive metadata: the simulator runs every job it is given; use

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/journal.h"
 
@@ -51,21 +52,15 @@ int status_code(JobStatus status) {
   return -1;
 }
 
-// Sanity bounds on parsed field values before they are cast to the
-// integer model types (a cast from a non-finite or out-of-range double is
-// undefined behavior, so a garbage trace must be rejected *before* it).
-// Times/durations are seconds — 1e15 s is ~30 million years, far beyond
-// any archive; processor counts and ids fit int32.
-constexpr double kMaxTimeField = 1e15;
-constexpr double kMaxIntField = 2e9;
+// Every field cast to an integer model type, with its job.h bound: a cast
+// from a non-finite or out-of-range double is undefined behavior, so a
+// garbage trace must be rejected *before* it.
+constexpr std::pair<std::size_t, std::int64_t> kCastFields[] = {
+    {kSubmit, kMaxTimeField},  {kRunTime, kMaxTimeField},
+    {kReqTime, kMaxTimeField}, {kAllocProcs, kMaxIntField},
+    {kReqProcs, kMaxIntField}, {kStatus, kMaxIntField},
+    {kUser, kMaxIntField}};
 
-bool time_field_ok(double v) {
-  return std::isfinite(v) && v >= -kMaxTimeField && v <= kMaxTimeField;
-}
-
-bool int_field_ok(double v) {
-  return std::isfinite(v) && v >= -kMaxIntField && v <= kMaxIntField;
-}
 
 /// Record one rejected line into the lenient-mode report.
 void note_issue(SwfParseReport* report, bool structural, std::size_t line,
@@ -142,21 +137,17 @@ bool SwfLineParser::parse(const std::string& line, Job& out) {
     note_issue(report_, /*structural=*/true, st.lines, reason, line);
     return false;
   }
-  // Guard every field we cast to an integer type: a non-finite or
-  // absurdly large value would be undefined behavior at the cast.
-  const bool finite_ok =
-      time_field_ok(f[kSubmit]) && time_field_ok(f[kRunTime]) &&
-      time_field_ok(f[kReqTime]) && int_field_ok(f[kAllocProcs]) &&
-      int_field_ok(f[kReqProcs]) && int_field_ok(f[kStatus]) &&
-      int_field_ok(f[kUser]);
-  if (!finite_ok) {
-    const bool non_finite =
-        !std::isfinite(f[kSubmit]) || !std::isfinite(f[kRunTime]) ||
-        !std::isfinite(f[kReqTime]) || !std::isfinite(f[kAllocProcs]) ||
-        !std::isfinite(f[kReqProcs]) || !std::isfinite(f[kStatus]) ||
-        !std::isfinite(f[kUser]);
-    const char* reason =
-        non_finite ? "non-finite-field" : "out-of-range-field";
+  const char* reason = nullptr;  // a non-finite field outranks a large one
+  for (const auto& [field, bound] : kCastFields) {
+    if (!std::isfinite(f[field])) {
+      reason = "non-finite-field";
+      break;
+    }
+    if (std::abs(f[field]) > static_cast<double>(bound)) {
+      reason = "out-of-range-field";
+    }
+  }
+  if (reason != nullptr) {
     if (!options_.lenient) {
       throw std::runtime_error("SWF: " + std::string(reason) + " at line " +
                                std::to_string(st.lines) + ": " + line);

@@ -102,6 +102,32 @@ TEST(Resilience, IsolateCompletesHealthyCells) {
   }
 }
 
+TEST(Resilience, ShardedGridReportsOnlyItsOwnFailures) {
+  // Cells owned by another shard are skipped, not failed: they must not
+  // show up in failures() or in failure_summary's per-kind counts.
+  const workload::Workload w = test::small_mixed_workload();
+  sim::Machine m;
+  m.nodes = 16;
+  auto opt = throwing_options(core::OrderKind::kSmartNfiw,
+                              core::DispatchKind::kEasy);
+  opt.error_policy = eval::ErrorPolicy::kIsolate;
+  std::size_t failed = 0;
+  for (std::size_t index = 0; index < 2; ++index) {
+    opt.shard = {index, 2};
+    const eval::GridResult grid =
+        eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
+    EXPECT_GT(grid.skipped(), 0u);
+    ASSERT_EQ(grid.failures().size(), grid.failed());
+    for (const eval::RunError& e : grid.failures()) {
+      EXPECT_EQ(e.scheduler, "SMART-NFIW+EASY");
+    }
+    EXPECT_EQ(eval::failure_summary(grid).find("simulation"),
+              std::string::npos);
+    failed += grid.failed();
+  }
+  EXPECT_EQ(failed, 1u);  // exactly one shard owns the throwing cell
+}
+
 TEST(Resilience, IsolateMatchesSerialResultsThreaded) {
   // Isolation must not perturb the healthy cells: threaded isolate run ==
   // serial fail-free run, cell for cell.
@@ -243,8 +269,8 @@ TEST(Resilience, StarvedJobsClassifyAsSchedulerBug) {
 
 TEST(Resilience, FaultSweepIsolatesMidSweepFailure) {
   // A scheduler throwing in every point of a fault sweep: each point's
-  // grid completes its other 12 cells and reports the failure; the legacy
-  // API throws naming the point.
+  // grid completes its other 12 cells and reports the failure; the
+  // throwing accessor names the point.
   const workload::Workload w = test::small_mixed_workload();
   sim::Machine m;
   m.nodes = 16;
@@ -256,7 +282,7 @@ TEST(Resilience, FaultSweepIsolatesMidSweepFailure) {
                               core::DispatchKind::kConservative);
   opt.error_policy = eval::ErrorPolicy::kIsolate;
   const auto sweep =
-      eval::run_fault_sweep_outcomes(m, core::WeightKind::kUnit, w, points, opt);
+      eval::run_fault_sweep(m, core::WeightKind::kUnit, w, points, opt);
   ASSERT_EQ(sweep.size(), 2u);
   for (const auto& grid : sweep) {
     EXPECT_EQ(grid.failed(), 1u);
@@ -264,10 +290,11 @@ TEST(Resilience, FaultSweepIsolatesMidSweepFailure) {
     EXPECT_EQ(grid.cells.size() - grid.failed(), 12u);
   }
   try {
-    eval::run_fault_sweep(m, core::WeightKind::kUnit, w, points, opt);
+    (void)sweep[0].results_or_throw(points[0].label);
     FAIL() << "expected summary exception";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("p0"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("PSRS+CONS"), std::string::npos);
   }
 }
 

@@ -430,9 +430,12 @@ TEST(FaultParallelEval, FaultSweepProducesDegradationCurve) {
 
   eval::ExperimentOptions options;
   options.measure_cpu = false;
-  const auto curve = eval::run_fault_sweep(m, core::WeightKind::kUnit, w,
+  const auto sweep = eval::run_fault_sweep(m, core::WeightKind::kUnit, w,
                                            points, options);
-  ASSERT_EQ(curve.size(), 2u);
+  ASSERT_EQ(sweep.size(), 2u);
+  const std::vector<std::vector<eval::RunResult>> curve = {
+      sweep[0].results_or_throw("no-faults"),
+      sweep[1].results_or_throw("faulty")};
   // Point 0 is fault-free: identical to a plain grid run.
   const auto plain = eval::run_grid(m, core::WeightKind::kUnit, w, options);
   for (std::size_t i = 0; i < plain.size(); ++i) {

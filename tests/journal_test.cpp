@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "eval/experiment.h"
+#include "eval/replication.h"
 #include "eval/reporting.h"
 #include "test_support.h"
 #include "util/journal.h"
@@ -406,7 +407,7 @@ TEST(Journal, FaultSweepPointsDoNotCollide) {
   {
     eval::SweepJournal journal(f.path());
     opt.journal = &journal;
-    const auto sweep = eval::run_fault_sweep_outcomes(
+    const auto sweep = eval::run_fault_sweep(
         m, core::WeightKind::kUnit, w, points, opt);
     ASSERT_EQ(sweep.size(), 2u);
     EXPECT_EQ(sweep[0].resumed(), 0u);
@@ -415,10 +416,58 @@ TEST(Journal, FaultSweepPointsDoNotCollide) {
   eval::SweepJournal journal(f.path());
   EXPECT_EQ(journal.loaded(), 26u);  // 13 cells per point, no collisions
   opt.journal = &journal;
-  const auto resumed = eval::run_fault_sweep_outcomes(
+  const auto resumed = eval::run_fault_sweep(
       m, core::WeightKind::kUnit, w, points, opt);
   EXPECT_EQ(resumed[0].resumed(), 13u);
   EXPECT_EQ(resumed[1].resumed(), 13u);
+}
+
+/// Key under which `path`'s journal holds the cell run with `spec`.
+std::uint64_t journaled_key(const std::string& path,
+                            const core::AlgorithmSpec& spec) {
+  eval::SweepJournal journal(path);
+  for (const auto& [key, result] : journal.snapshot()) {
+    if (result.spec.display_name() == spec.display_name()) return key;
+  }
+  ADD_FAILURE() << "no journaled cell for " << spec.display_name();
+  return 0;
+}
+
+TEST(Journal, CellKeysArePinned) {
+  // Existing journals resume only while keys stay put. These are the keys
+  // the grid, fault-sweep and replication paths journaled before they
+  // shared one cell runner; a change here orphans every journal on disk.
+  const workload::Workload w = test::small_mixed_workload();
+  sim::Machine m;
+  m.nodes = 16;
+  const core::AlgorithmSpec fcfs = core::paper_grid(core::WeightKind::kUnit)[0];
+  eval::ExperimentOptions opt;
+  opt.measure_cpu = false;
+  {
+    TempFile f("pin-grid");
+    eval::SweepJournal journal(f.path());
+    opt.journal = &journal;
+    eval::run_grid_outcomes(m, core::WeightKind::kUnit, w, opt);
+    EXPECT_EQ(journaled_key(f.path(), fcfs), 0x28a200cdf961caa3ull);
+  }
+  {
+    TempFile f("pin-fault-point");
+    eval::SweepJournal journal(f.path());
+    opt.journal = &journal;
+    std::vector<eval::FaultSweepPoint> points(1);
+    points[0].label = "mtbf=1w";
+    eval::run_fault_sweep(m, core::WeightKind::kUnit, w, points, opt);
+    EXPECT_EQ(journaled_key(f.path(), fcfs), 0x73f04bd3b361ac95ull);
+  }
+  {
+    TempFile f("pin-replicate");
+    eval::SweepJournal journal(f.path());
+    opt.journal = &journal;
+    const std::uint64_t seeds[] = {7};
+    eval::run_replicated(
+        m, fcfs, [&](std::uint64_t) { return w; }, seeds, opt);
+    EXPECT_EQ(journaled_key(f.path(), fcfs), 0x836c07a8f8760cdbull);
+  }
 }
 
 TEST(Journal, StaleJournalIsDetectedAndSegmented) {
