@@ -29,9 +29,11 @@ struct RunningJob {
   int nodes;
 };
 
-/// The hook contract. The scheduler owning a dispatcher reports every
-/// change to the wait queue, so a dispatcher may keep state mirroring
-/// `order` between selects (the EASY and first-fit fit index does):
+/// The hook contract. ListScheduler is its one implementation (a
+/// PhasedScheduler is a phase switch over a ListScheduler, not a second
+/// owner): it reports every change to the wait queue, so a dispatcher may
+/// keep state mirroring `order` between selects (the EASY and first-fit
+/// fit index does):
 ///
 ///  * on_enqueue(id) when a job is appended at the end of the order;
 ///  * on_start(id), after select(), for each returned job that actually
@@ -40,7 +42,8 @@ struct RunningJob {
 ///  * on_reorder(order) whenever the order changed any other way (a
 ///    mid-queue insertion or a replan), instead of on_enqueue;
 ///  * adopt(order, running) when the dispatcher takes over a machine it
-///    has not been watching (a phase flip); until then it may be stale.
+///    has not been watching (ListScheduler::hand_over on a phase flip);
+///    until then it may be stale.
 ///
 /// A dispatcher that mirrors the order throws std::logic_error from
 /// select() when the queue it is handed disagrees with its mirror, rather

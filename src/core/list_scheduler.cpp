@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace jsched::core {
 
@@ -77,6 +78,19 @@ void ListScheduler::select_starts(Time now, int free_nodes,
     running_.push_back({id, now, now + j.estimate, j.nodes});
   }
   sync_order_version(now);
+}
+
+void ListScheduler::hand_over(Time now,
+                              std::unique_ptr<OrderingPolicy>& ordering,
+                              std::unique_ptr<Dispatcher>& dispatcher) {
+  std::vector<JobId> queued = ordering_->order();
+  std::sort(queued.begin(), queued.end());  // ids are submission-ordered
+  for (JobId id : queued) ordering_->on_remove(id, now);
+  for (JobId id : queued) ordering->on_submit(id, now);
+  std::swap(ordering_, ordering);
+  std::swap(dispatcher_, dispatcher);
+  dispatcher_->adopt(now, ordering_->order(), running_);
+  seen_version_ = ordering_->version();
 }
 
 Time ListScheduler::next_wakeup(Time now) const {

@@ -51,134 +51,86 @@ PhasedScheduler::PhasedScheduler(PhaseWindow window,
                                  std::unique_ptr<OrderingPolicy> night_order,
                                  std::unique_ptr<Dispatcher> night_dispatch)
     : window_(window),
-      day_order_(std::move(day_order)),
-      day_dispatch_(std::move(day_dispatch)),
-      night_order_(std::move(night_order)),
-      night_dispatch_(std::move(night_dispatch)) {
-  if (!day_order_ || !day_dispatch_ || !night_order_ || !night_dispatch_) {
+      list_(std::move(day_order), std::move(day_dispatch)),
+      idle_order_(std::move(night_order)),
+      idle_dispatch_(std::move(night_dispatch)) {
+  if (!idle_order_ || !idle_dispatch_) {
     throw std::invalid_argument("PhasedScheduler: null component");
   }
 }
 
 std::string PhasedScheduler::name() const {
-  auto half = [](const OrderingPolicy& o, const Dispatcher& d) {
-    return d.name().empty() ? o.name() : o.name() + "+" + d.name();
-  };
-  return "day[" + half(*day_order_, *day_dispatch_) + "]/night[" +
-         half(*night_order_, *night_dispatch_) + "]";
+  const std::string active = list_.name();
+  const std::string d = idle_dispatch_->name();
+  const std::string idle =
+      d.empty() ? idle_order_->name() : idle_order_->name() + "+" + d;
+  return "day[" + (day_active_ ? active : idle) + "]/night[" +
+         (day_active_ ? idle : active) + "]";
 }
 
 void PhasedScheduler::reset(const sim::Machine& machine) {
-  store_.clear();
-  running_.clear();
-  day_order_->reset(machine, store_);
-  day_dispatch_->reset(machine, store_);
-  night_order_->reset(machine, store_);
-  night_dispatch_->reset(machine, store_);
-  day_active_ = window_.contains(0);
+  list_.reset(machine);
+  idle_order_->reset(machine, list_.store());
+  idle_dispatch_->reset(machine, list_.store());
   flips_ = 0;
   last_sync_ = -1;
   machine_nodes_ = machine.nodes;
   capacity_ = machine.nodes;
-  seen_version_ = order().version();
+  if (window_.contains(0) != day_active_) {
+    // Start in the phase of t = 0: hand the empty machine to the other pair.
+    list_.hand_over(0, idle_order_, idle_dispatch_);
+    day_active_ = !day_active_;
+  }
 }
 
 void PhasedScheduler::sync_phase(Time now) {
   if (now == last_sync_) return;
   last_sync_ = now;
-  const bool want_day = window_.contains(now);
-  if (want_day == day_active_) return;
+  if (window_.contains(now) == day_active_) return;
   ++flips_;
-
-  // Hand the queue over in submission order (ids are submission-ordered),
-  // letting the incoming policy impose its own priorities.
-  std::vector<JobId> queued = order().order();
-  std::sort(queued.begin(), queued.end());
-  OrderingPolicy& incoming = want_day ? *day_order_ : *night_order_;
-  for (JobId id : queued) {
-    // The outgoing policy keeps its (stale) state; it is reset on the next
-    // flip back, so remove jobs from it now to keep it consistent.
-    order().on_remove(id, now);
-  }
-  for (JobId id : queued) incoming.on_submit(id, now);
-
-  day_active_ = want_day;
-  dispatch().adopt(now, order().order(), running_);
+  list_.hand_over(now, idle_order_, idle_dispatch_);
+  day_active_ = !day_active_;
   if (capacity_ != machine_nodes_) {
     // adopt() rebuilt the incoming dispatcher's state at full capacity;
     // replay the outage so its plan respects the surviving nodes.
-    dispatch().on_capacity_change(now, capacity_, order().order(), running_);
-  }
-  seen_version_ = order().version();
-}
-
-void PhasedScheduler::on_capacity_change(Time now, int available_nodes) {
-  sync_phase(now);
-  capacity_ = available_nodes;
-  dispatch().on_capacity_change(now, available_nodes, order().order(),
-                                running_);
-}
-
-void PhasedScheduler::sync_order_version(Time now) {
-  if (order().version() != seen_version_) {
-    seen_version_ = order().version();
-    dispatch().on_reorder(order().order(), now);
+    list_.on_capacity_change(now, capacity_);
   }
 }
 
 void PhasedScheduler::on_submit(const Submission& job, Time now) {
   sync_phase(now);
-  store_.put(job);
-  const std::uint64_t before = order().version();
-  order().on_submit(job.id, now);
-  if (order().version() != before) {
-    seen_version_ = order().version();
-    dispatch().on_reorder(order().order(), now);
-  } else {
-    dispatch().on_enqueue(job.id, now);
-  }
+  list_.on_submit(job, now);
 }
 
 void PhasedScheduler::on_complete(JobId id, Time now) {
   sync_phase(now);
-  auto it = std::find_if(running_.begin(), running_.end(),
-                         [&](const RunningJob& r) { return r.id == id; });
-  if (it == running_.end()) {
-    throw std::logic_error("PhasedScheduler: completion for job not running");
-  }
-  const Time estimated_end = it->estimated_end;
-  running_.erase(it);
-  dispatch().on_complete(id, now, estimated_end, order().order());
-  sync_order_version(now);
-  store_.erase(id);  // finished: keeps the store O(live jobs) when streaming
+  list_.on_complete(id, now);
+}
+
+void PhasedScheduler::on_capacity_change(Time now, int available_nodes) {
+  sync_phase(now);
+  capacity_ = available_nodes;
+  list_.on_capacity_change(now, available_nodes);
 }
 
 void PhasedScheduler::select_starts(Time now, int free_nodes,
                                     std::vector<JobId>& starts) {
   sync_phase(now);
-  dispatch().select(now, free_nodes, order().order(), running_, starts);
-  for (JobId id : starts) {
-    order().on_remove(id, now);
-    dispatch().on_start(id, now);
-    const Job& j = store_.get(id);
-    running_.push_back({id, now, now + j.estimate, j.nodes});
-  }
-  sync_order_version(now);
+  list_.select_starts(now, free_nodes, starts);
 }
 
 Time PhasedScheduler::next_wakeup(Time now) const {
   // Wake for the dispatcher's reservations and for the next phase flip
   // (only needed while there is anything to schedule).
-  Time wake = dispatch().next_wakeup(now);
-  if (!running_.empty() || queue_length() > 0) {
+  Time wake = list_.next_wakeup(now);
+  if (!list_.running().empty() || list_.queue_length() > 0) {
     wake = std::min(wake, window_.next_boundary(std::max<Time>(now, 0)));
   }
   return wake;
 }
 
 std::size_t PhasedScheduler::queue_length() const {
-  return day_active_ ? day_order_->order().size()
-                     : night_order_->order().size();
+  return list_.queue_length();
 }
 
 std::unique_ptr<sim::Scheduler> make_institution_b_combined() {

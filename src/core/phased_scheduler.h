@@ -8,10 +8,12 @@
 // it holds one wait queue but switches the active (ordering, dispatcher)
 // pair between the policy's day and night phases.
 //
-// On a phase flip the queue is re-ordered under the incoming policy and
-// the incoming dispatcher adopts the machine state (running jobs and the
-// new order); phase boundaries are surfaced through next_wakeup so flips
-// happen on time even in event gaps.
+// It is a phase switch over one ListScheduler, which keeps the queue, the
+// running set and the hook protocol: on a phase flip the ListScheduler
+// hands the queue over to the incoming (ordering, dispatcher) pair, which
+// re-orders it under its own priorities and adopts the running jobs.
+// Phase boundaries are surfaced through next_wakeup so flips happen on
+// time even in event gaps.
 #pragma once
 
 #include <memory>
@@ -19,7 +21,7 @@
 #include <vector>
 
 #include "core/dispatch.h"
-#include "core/job_store.h"
+#include "core/list_scheduler.h"
 #include "core/ordering.h"
 #include "sim/scheduler.h"
 #include "util/time.h"
@@ -64,26 +66,14 @@ class PhasedScheduler final : public sim::Scheduler {
   std::size_t phase_flips() const noexcept { return flips_; }
 
  private:
-  OrderingPolicy& order() { return day_active_ ? *day_order_ : *night_order_; }
-  Dispatcher& dispatch() {
-    return day_active_ ? *day_dispatch_ : *night_dispatch_;
-  }
-  const Dispatcher& dispatch() const {
-    return day_active_ ? *day_dispatch_ : *night_dispatch_;
-  }
   void sync_phase(Time now);
-  void sync_order_version(Time now);
 
   PhaseWindow window_;
-  std::unique_ptr<OrderingPolicy> day_order_;
-  std::unique_ptr<Dispatcher> day_dispatch_;
-  std::unique_ptr<OrderingPolicy> night_order_;
-  std::unique_ptr<Dispatcher> night_dispatch_;
-
-  JobStore store_;
-  std::vector<RunningJob> running_;
+  /// Runs the active phase's pair; the other phase's pair waits in idle_*.
+  ListScheduler list_;
+  std::unique_ptr<OrderingPolicy> idle_order_;
+  std::unique_ptr<Dispatcher> idle_dispatch_;
   bool day_active_ = true;
-  std::uint64_t seen_version_ = 0;
   std::size_t flips_ = 0;
   Time last_sync_ = -1;
   /// Machine size and last advertised capacity (fault injection). adopt()

@@ -10,6 +10,7 @@
 #include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "sim/streaming.h"
+#include "util/fnv.h"
 #include "util/journal.h"
 #include "util/thread_pool.h"
 

@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/fnv.h"
+
 namespace jsched::metrics {
-namespace {
 
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (8 * byte)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-}
-
-}  // namespace
+using util::fnv_mix;
 
 double available_node_seconds(
     const std::vector<std::pair<Time, int>>& capacity_events,
@@ -39,7 +33,7 @@ double available_node_seconds(
 }
 
 StreamingAggregator::StreamingAggregator(int machine_nodes)
-    : machine_nodes_(machine_nodes), record_fnv_(14695981039346656037ull) {}
+    : machine_nodes_(machine_nodes), record_fnv_(util::kFnvOffset) {}
 
 void StreamingAggregator::on_record(JobId id, const sim::JobRecord& r,
                                     const Job& j) {

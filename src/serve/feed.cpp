@@ -16,9 +16,14 @@
 #include <thread>
 #include <utility>
 
+#include "workload/swf.h"
+
 namespace jsched::serve {
 
 namespace {
+
+/// Malformed lines each LineReader logs before it only counts them.
+constexpr std::size_t kLoggedErrors = workload::SwfParseReport::kMaxSamples;
 
 /// Split `line` into whitespace-separated tokens (no allocation per char).
 std::vector<std::string> tokenize(const std::string& line) {
@@ -198,8 +203,14 @@ void LineReader::consume(std::string& buffer, bool closed) {
         ended_ = true;
         break;
       case ParseResult::kError:
+        // A client streaming junk must not flood the log: sample the
+        // first few errors, as SwfParseReport does, and count the rest.
         ++parse_errors_;
-        std::fprintf(stderr, "feed: %s\n", err.c_str());
+        if (parse_errors_ <= kLoggedErrors) {
+          std::fprintf(stderr, "feed: %s\n", err.c_str());
+        } else if (parse_errors_ == kLoggedErrors + 1) {
+          std::fprintf(stderr, "feed: further errors suppressed\n");
+        }
         break;
       case ParseResult::kSkip:
         break;

@@ -133,7 +133,9 @@ class LineReader {
 
   /// True once an `end` line was read.
   bool ended() const noexcept { return ended_; }
-  /// Malformed lines seen so far (each also logged to stderr).
+  /// Malformed lines seen so far. The first SwfParseReport::kMaxSamples
+  /// are logged to stderr, then one line saying further errors are
+  /// suppressed.
   std::size_t parse_errors() const noexcept { return parse_errors_; }
 
  private:

@@ -1,8 +1,9 @@
 #include "sim/schedule.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+
+#include "util/fnv.h"
 
 namespace jsched::sim {
 
@@ -30,13 +31,8 @@ void Schedule::record_end(JobId id, Time end, bool cancelled) {
 
 std::uint64_t schedule_fingerprint(const Schedule& s) {
   // FNV-1a, folding each record field as its 64-bit representation.
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = util::kFnvOffset;
+  const auto mix = [&h](std::uint64_t v) { util::fnv_mix(h, v); };
   for (JobId id = 0; id < s.size(); ++id) {
     const JobRecord& r = s[id];
     mix(static_cast<std::uint64_t>(r.submit));
@@ -67,55 +63,26 @@ Time Schedule::makespan() const noexcept {
   return m;
 }
 
-namespace {
-
-/// Validity under fault injection: per-job conservation instead of exact
-/// durations, and a capacity sweep against the recorded capacity steps.
-void validate_faulty_schedule(const Schedule& s, const workload::Workload& w) {
+void validate_schedule(const Schedule& s, const workload::Workload& w) {
   auto fail = [](const std::string& msg) { throw ValidationError("schedule: " + msg); };
+  auto fail_job = [&](JobId id, const char* msg) {
+    fail("job " + std::to_string(id) + ": " + msg);
+  };
+  auto fail_attempt = [&](JobId id, const char* msg) {
+    fail("attempt of job " + std::to_string(id) + ": " + msg);
+  };
+  if (s.size() != w.size()) fail("job count mismatch");
+  // Under fault injection a job's final attempt may resume checkpointed
+  // work, so exact durations give way to conservation: across all its
+  // attempts a job executes at least its fault-free lifetime (requeued
+  // work is re-executed; restart overhead only adds on top).
+  const bool faulty = !s.attempts.empty() || !s.capacity_events.empty();
+  std::vector<Duration> executed(faulty ? s.size() : 0, 0);
 
-  std::vector<Duration> executed(s.size(), 0);
-  for (JobId id = 0; id < s.size(); ++id) {
-    const JobRecord& r = s[id];
-    const Job& j = w.job(id);
-    std::ostringstream who;
-    who << "job " << id << ": ";
-    if (r.end == kTimeInfinity) fail(who.str() + "never completed");
-    if (r.nodes != j.nodes) fail(who.str() + "node count mismatch");
-    if (r.submit != j.submit) fail(who.str() + "submit time mismatch");
-    if (r.start < j.submit) fail(who.str() + "started before submission");
-    if (r.end <= r.start) fail(who.str() + "non-positive final attempt");
-    executed[id] = r.end - r.start;
-  }
-  for (const AttemptRecord& a : s.attempts) {
-    std::ostringstream who;
-    who << "attempt of job " << a.id << ": ";
-    if (a.id >= s.size()) fail(who.str() + "unknown job");
-    const Job& j = w.job(a.id);
-    if (a.nodes != j.nodes) fail(who.str() + "node count mismatch");
-    if (a.start < j.submit) fail(who.str() + "started before submission");
-    if (a.end <= a.start) fail(who.str() + "non-positive attempt");
-    if (a.end > s[a.id].start) {
-      fail(who.str() + "killed attempt overlaps the final attempt");
-    }
-    if (a.saved < 0 || a.saved > a.end - a.start) {
-      fail(who.str() + "saved work outside the attempt");
-    }
-    executed[a.id] += a.end - a.start;
-  }
-  for (JobId id = 0; id < s.size(); ++id) {
-    const Job& j = w.job(id);
-    // Conservation: across all attempts the job must have executed at
-    // least its fault-free lifetime (requeued work is re-executed; restart
-    // overhead only adds on top).
-    if (executed[id] < std::min(j.runtime, j.estimate)) {
-      fail("job " + std::to_string(id) + ": executed less than its lifetime");
-    }
-  }
-
-  // Capacity sweep against the time-varying capacity. At equal instants
-  // the simulator releases completions first, then applies capacity steps
-  // (kills release within the step), then starts jobs — mirror that order.
+  // Capacity sweep edges. At equal instants the simulator releases
+  // completions first, then applies capacity steps (kills release within
+  // the step), then starts jobs; the kind order mirrors that, so a node
+  // freed at t is usable by a job starting at t.
   enum EdgeKind { kRelease = 0, kCapacity = 1, kAcquire = 2 };
   struct Edge {
     Time t;
@@ -124,17 +91,56 @@ void validate_faulty_schedule(const Schedule& s, const workload::Workload& w) {
   };
   std::vector<Edge> edges;
   edges.reserve(2 * (s.size() + s.attempts.size()) + s.capacity_events.size());
+
   for (JobId id = 0; id < s.size(); ++id) {
-    edges.push_back({s[id].start, kAcquire, s[id].nodes});
-    edges.push_back({s[id].end, kRelease, -s[id].nodes});
+    const JobRecord& r = s[id];
+    const Job& j = w.job(id);
+    if (r.end == kTimeInfinity) fail_job(id, "never completed");
+    if (r.nodes != j.nodes) fail_job(id, "node count mismatch");
+    if (r.submit != j.submit) fail_job(id, "submit time mismatch");
+    if (r.start < j.submit) fail_job(id, "started before submission");
+    if (faulty) {
+      if (r.end <= r.start) fail_job(id, "non-positive final attempt");
+      executed[id] = r.end - r.start;
+    } else if (r.cancelled) {
+      if (r.end - r.start != j.estimate) {
+        fail_job(id, "cancelled at other than the upper limit");
+      }
+      if (j.runtime <= j.estimate) {
+        fail_job(id, "cancelled although it fit its limit");
+      }
+    } else if (r.end - r.start != j.runtime) {
+      fail_job(id, "ran for other than its runtime (no time sharing)");
+    }
+    edges.push_back({r.start, kAcquire, r.nodes});
+    edges.push_back({r.end, kRelease, -r.nodes});
   }
   for (const AttemptRecord& a : s.attempts) {
+    if (a.id >= s.size()) fail_attempt(a.id, "unknown job");
+    const Job& j = w.job(a.id);
+    if (a.nodes != j.nodes) fail_attempt(a.id, "node count mismatch");
+    if (a.start < j.submit) fail_attempt(a.id, "started before submission");
+    if (a.end <= a.start) fail_attempt(a.id, "non-positive attempt");
+    if (a.end > s[a.id].start) {
+      fail_attempt(a.id, "killed attempt overlaps the final attempt");
+    }
+    if (a.saved < 0 || a.saved > a.end - a.start) {
+      fail_attempt(a.id, "saved work outside the attempt");
+    }
+    executed[a.id] += a.end - a.start;
     edges.push_back({a.start, kAcquire, a.nodes});
     edges.push_back({a.end, kRelease, -a.nodes});
+  }
+  for (JobId id = 0; id < executed.size(); ++id) {
+    const Job& j = w.job(id);
+    if (executed[id] < std::min(j.runtime, j.estimate)) {
+      fail_job(id, "executed less than its lifetime");
+    }
   }
   for (const auto& [t, capacity] : s.capacity_events) {
     edges.push_back({t, kCapacity, capacity});
   }
+
   std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
     if (a.t != b.t) return a.t < b.t;
     if (a.kind != b.kind) return a.kind < b.kind;
@@ -152,65 +158,6 @@ void validate_faulty_schedule(const Schedule& s, const workload::Workload& w) {
     if (in_use > capacity) {
       fail("node capacity exceeded at time " + std::to_string(e.t));
     }
-  }
-  if (in_use != 0) fail("dangling allocations after last completion");
-}
-
-}  // namespace
-
-void validate_schedule(const Schedule& s, const workload::Workload& w) {
-  auto fail = [](const std::string& msg) { throw ValidationError("schedule: " + msg); };
-  if (s.size() != w.size()) fail("job count mismatch");
-  if (!s.attempts.empty() || !s.capacity_events.empty()) {
-    validate_faulty_schedule(s, w);
-    return;
-  }
-
-  struct Edge {
-    Time t;
-    int delta;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(2 * s.size());
-
-  for (JobId id = 0; id < s.size(); ++id) {
-    const JobRecord& r = s[id];
-    const Job& j = w.job(id);
-    std::ostringstream who;
-    who << "job " << id << ": ";
-    if (r.end == kTimeInfinity) fail(who.str() + "never completed");
-    if (r.nodes != j.nodes) fail(who.str() + "node count mismatch");
-    if (r.submit != j.submit) fail(who.str() + "submit time mismatch");
-    if (r.start < j.submit) fail(who.str() + "started before submission");
-    if (r.cancelled) {
-      if (r.end - r.start != j.estimate) {
-        fail(who.str() + "cancelled at other than the upper limit");
-      }
-      if (j.runtime <= j.estimate) {
-        fail(who.str() + "cancelled although it fit its limit");
-      }
-    } else {
-      if (r.end - r.start != j.runtime) {
-        fail(who.str() + "ran for other than its runtime (no time sharing)");
-      }
-    }
-    edges.push_back({r.start, j.nodes});
-    edges.push_back({r.end, -j.nodes});
-  }
-
-  // Capacity sweep: releases before acquisitions at equal times (a node
-  // freed at t is usable by a job starting at t).
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.delta < b.delta;
-  });
-  int in_use = 0;
-  for (const auto& e : edges) {
-    in_use += e.delta;
-    if (in_use > s.machine().nodes) {
-      fail("node capacity exceeded at time " + std::to_string(e.t));
-    }
-    if (in_use < 0) fail("negative usage at time " + std::to_string(e.t));
   }
   if (in_use != 0) fail("dangling allocations after last completion");
 }

@@ -5,21 +5,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/fnv.h"
+
 namespace jsched::workload {
 namespace {
 
 constexpr char kMagic[4] = {'J', 'W', 'B', '1'};
 constexpr char kEndMagic[4] = {'J', 'W', 'B', 'E'};
 constexpr std::uint16_t kVersion = 1;
-
-std::uint64_t fnv1a_bytes(const unsigned char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -108,7 +101,7 @@ void BinaryWriter::flush_block() {
   std::string header;
   put_u32(header, static_cast<std::uint32_t>(payload_.size()));
   put_u32(header, block_count_);
-  put_u64(header, fnv1a_bytes(
+  put_u64(header, util::fnv1a(
                       reinterpret_cast<const unsigned char*>(payload_.data()),
                       payload_.size()));
   write_all(*out_, header);
@@ -201,7 +194,7 @@ bool BinaryJobSource::load_block() {
   if (!read_exact(in_, payload_.data(), payload_bytes)) {
     corrupt("truncated block payload");
   }
-  if (fnv1a_bytes(payload_.data(), payload_.size()) != checksum) {
+  if (util::fnv1a(payload_.data(), payload_.size()) != checksum) {
     corrupt("block checksum mismatch");
   }
   pos_ = 0;

@@ -1,6 +1,7 @@
 // The feed line protocol's reader: parse_submit_line field bounds, the
-// shared LineReader behind FdLineFeed and TcpFeed (one test run over both
-// transports), and a deterministic mutation fuzzer over chunked streams.
+// shared LineReader behind FdLineFeed and TcpFeed (its bounded error log,
+// one test run over both transports), and a deterministic mutation fuzzer
+// over chunked streams.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -19,6 +20,7 @@
 #include "serve/feed.h"
 #include "util/rng.h"
 #include "workload/job.h"
+#include "workload/swf.h"
 
 namespace jsched {
 namespace {
@@ -69,6 +71,38 @@ TEST(FeedReader, ParseRejectsOutOfRangeFields) {
   EXPECT_EQ(fields(r), fields(record(kMaxTimeField, 2'000'000'000,
                                      kMaxTimeField, kMaxTimeField,
                                      -2'000'000'000)));
+}
+
+TEST(FeedReader, ErrorLogIsBounded) {
+  // 100 malformed lines over two consume() calls, with valid lines among
+  // them: every error is counted, only the first kMaxSamples are logged,
+  // followed by one line saying the rest are suppressed.
+  const std::size_t logged = workload::SwfParseReport::kMaxSamples;
+  LineReader reader;
+  std::string first;
+  std::string second;
+  for (int i = 0; i < 50; ++i) {
+    first += "junk " + std::to_string(i) + "\n";
+    second += "@" + std::to_string(i) + " 1 10 10\nmore junk\n";
+  }
+  testing::internal::CaptureStderr();
+  reader.consume(first, false);
+  reader.consume(second, false);
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(reader.parse_errors(), 100u);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0, nl; (nl = log.find('\n', at)) != std::string::npos;
+       at = nl + 1) {
+    lines.push_back(log.substr(at, nl - at));
+  }
+  ASSERT_EQ(lines.size(), logged + 1) << log;
+  for (std::size_t i = 0; i < logged; ++i) {
+    EXPECT_EQ(lines[i].rfind("feed: ", 0), 0u) << lines[i];
+  }
+  EXPECT_EQ(lines.back(), "feed: further errors suppressed");
+  std::vector<SubmitRecord> out;
+  reader.poll(kTimeInfinity, out, true);
+  EXPECT_EQ(out.size(), 50u);
 }
 
 // ------------------------------------------------- one test, two transports

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/conservative_backfill.h"
 #include "core/easy_backfill.h"
 #include "core/smart.h"
+#include "fault/fault.h"
 #include "sim/simulator.h"
 #include "test_support.h"
 #include "workload/ctc_model.h"
@@ -174,6 +176,88 @@ TEST(PhasedScheduler, ConservativeDispatcherSurvivesAdoption) {
   const auto schedule = sim::simulate(m, *phased, w);
   EXPECT_EQ(schedule.size(), w.size());
   EXPECT_GE(phased->phase_flips(), 2u);
+}
+
+TEST(PhasedScheduler, ResetAfterARunEndingInTheDayPhase) {
+  // A run that ends in the day phase leaves the day pair active; reset()
+  // must hand the empty machine back to the night pair active at t = 0, so
+  // a reused instance schedules exactly like a fresh one.
+  const auto w = test::make_workload({
+      make_job(0, 1, 1, 1),                        // anchor (night)
+      make_job(9 * kHour, 8, 3600, 7200),          // day
+      make_job(21 * kHour, 12, 3600, 3600),        // night
+      make_job(kDay + 8 * kHour, 8, 600, 1200),    // next morning
+      make_job(kDay + 8 * kHour + 10, 12, 600, 600),
+  });
+  sim::Machine m;
+  m.nodes = 16;
+  auto reused = make_phased();
+  const auto first = sim::simulate(m, *reused, w);
+  EXPECT_TRUE(reused->in_day_phase());
+  const auto second = sim::simulate(m, *reused, w);
+  const auto fresh = sim::simulate(m, *make_phased(), w);
+  EXPECT_EQ(sim::schedule_fingerprint(second), sim::schedule_fingerprint(first));
+  EXPECT_EQ(sim::schedule_fingerprint(fresh), sim::schedule_fingerprint(first));
+}
+
+// --- pinned phased schedules --------------------------------------------
+//
+// Schedule fingerprints and flip counts of phased runs, recorded before
+// PhasedScheduler became a phase switch over ListScheduler. Nothing else
+// pins phased output; a mismatch means a flip moved some start.
+
+TEST(PhasedSchedulerPins, InstitutionBCombinedOnCtcTrace) {
+  auto s = make_institution_b_combined();
+  workload::CtcModelParams p;
+  p.job_count = 2000;
+  const auto w = workload::trim_to_machine(workload::generate_ctc(p, 3), 256);
+  sim::Machine m;
+  m.nodes = 256;
+  const auto schedule = sim::simulate(m, *s, w);
+  EXPECT_EQ(sim::schedule_fingerprint(schedule), 0x7444bc2f2b1ed081ull)
+      << std::hex << sim::schedule_fingerprint(schedule);
+  EXPECT_EQ(dynamic_cast<const PhasedScheduler&>(*s).phase_flips(), 12u);
+}
+
+TEST(PhasedSchedulerPins, ConservativeDayFirstFitNightAcrossOutages) {
+  // 96 of 256 nodes are down from Monday 18:00 to 23:00 (across the 20:00
+  // flip to the night pair) and 128 from Tuesday 06:00 to 09:00 (across
+  // the 07:00 flip back), so each flip hands over during an outage and the
+  // incoming dispatcher must be told the reduced capacity.
+  workload::CtcModelParams p;
+  p.job_count = 600;
+  const auto w = workload::trim_to_machine(workload::generate_ctc(p, 7), 256);
+  const fault::FailureTrace trace = fault::make_failure_trace(
+      {{18 * kHour, -96},
+       {23 * kHour, 96},
+       {kDay + 6 * kHour, -128},
+       {kDay + 9 * kHour, 128}},
+      256);
+  struct Pin {
+    fault::RecoveryPolicy policy;
+    std::uint64_t fnv;
+    std::size_t flips;
+  };
+  const Pin pins[] = {
+      {fault::RecoveryPolicy::kRequeueFromScratch, 0x6358b8c30bbf835full, 6},
+      {fault::RecoveryPolicy::kCheckpointRestart, 0x6528b3a8325738ebull, 6},
+  };
+  for (const Pin& pin : pins) {
+    PhasedScheduler s(day_window(), std::make_unique<FcfsOrder>(),
+                      std::make_unique<ConservativeBackfillDispatch>(),
+                      std::make_unique<FcfsOrder>(),
+                      std::make_unique<FirstFitDispatch>());
+    sim::Machine m;
+    m.nodes = 256;
+    sim::SimOptions options;
+    options.faults.trace = &trace;
+    options.faults.recovery = {pin.policy, 30 * kMinute, kMinute};
+    const auto schedule = sim::simulate(m, s, w, options);
+    ASSERT_FALSE(schedule.attempts.empty());
+    EXPECT_EQ(sim::schedule_fingerprint(schedule), pin.fnv)
+        << std::hex << sim::schedule_fingerprint(schedule);
+    EXPECT_EQ(s.phase_flips(), pin.flips);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "test_support.h"
 
@@ -132,6 +133,70 @@ TEST(ValidateCancellation, RejectsCancellingAFittingJob) {
   s.record_start(0, 0, 0, 2);
   s.record_end(0, 50, true);  // claims cancellation though 30 <= 50
   EXPECT_THROW(validate_schedule(s, w), std::logic_error);
+}
+
+// --- fault-injected schedules ---------------------------------------------
+
+/// The message of the ValidationError `validate_schedule` throws, or ""
+/// when it accepts the schedule.
+std::string verdict(const Schedule& s, const workload::Workload& w) {
+  try {
+    validate_schedule(s, w);
+  } catch (const ValidationError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+class ValidateFaultyTest : public ValidateTest {
+ protected:
+  // Job 0 is killed at 10 when 4 of the 8 nodes fail, restarts from
+  // scratch on the surviving 4 and runs its full 20 s; job 1 (6 nodes)
+  // starts once the nodes are back at 30.
+  void SetUp() override {
+    s_.attempts.push_back({0, 0, 10, 4, 0});
+    s_.record_start(0, 0, 10, 4);
+    s_.record_end(0, 30, false);
+    s_.record_start(1, 5, 30, 6);
+    s_.record_end(1, 40, false);
+    s_.capacity_events = {{10, 4}, {30, 8}};
+  }
+};
+
+TEST_F(ValidateFaultyTest, AcceptsValidSchedule) {
+  EXPECT_EQ(verdict(s_, w_), "");
+}
+
+TEST_F(ValidateFaultyTest, RejectsAttemptOverlappingTheFinalAttempt) {
+  s_.attempts[0].end = 15;  // still running when the final attempt starts
+  EXPECT_EQ(verdict(s_, w_),
+            "schedule: attempt of job 0: killed attempt overlaps the final "
+            "attempt");
+}
+
+TEST_F(ValidateFaultyTest, RejectsSavedWorkOutsideTheAttempt) {
+  s_.attempts[0].saved = 11;  // the attempt ran only 10 s
+  EXPECT_EQ(verdict(s_, w_),
+            "schedule: attempt of job 0: saved work outside the attempt");
+  s_.attempts[0].saved = -1;
+  EXPECT_EQ(verdict(s_, w_),
+            "schedule: attempt of job 0: saved work outside the attempt");
+}
+
+TEST_F(ValidateFaultyTest, RejectsExecutingLessThanTheLifetime) {
+  s_.record_end(0, 19, false);  // 10 + 9 s executed; runtime is 20
+  EXPECT_EQ(verdict(s_, w_),
+            "schedule: job 0: executed less than its lifetime");
+}
+
+TEST_F(ValidateFaultyTest, RejectsCapacityExceededAfterAStep) {
+  s_.capacity_events[0].second = 3;  // job 0's restart needs 4
+  EXPECT_EQ(verdict(s_, w_), "schedule: node capacity exceeded at time 10");
+}
+
+TEST_F(ValidateFaultyTest, RejectsAttemptOfAnUnknownJob) {
+  s_.attempts.push_back({7, 0, 5, 1, 0});
+  EXPECT_EQ(verdict(s_, w_), "schedule: attempt of job 7: unknown job");
 }
 
 }  // namespace
